@@ -42,6 +42,7 @@ def build_constraints(
 ) -> list[SlotConstraint | None]:
     """Per-column sampler constraints for one conjunctive query.
 
+    Element 0 of :func:`build_constraints_batch` on ``[query]``.
     ``mass_cache`` (when given) memoizes the per-component range masses
     ``P_GMM^k(R_i)`` across queries — bitwise-equal to the direct
     ``reducer.range_mass`` call, just cheaper on repeated bounds.
@@ -49,26 +50,9 @@ def build_constraints(
     own tier, so the knob only shapes the masses built outside it
     (empty-range zeros, the uncached path, the biased indicator).
     """
-    dtype = np.dtype(dtype)
-    constraint_map = query.constraints(table)
-    slots: list[SlotConstraint | None] = []
-    for column, reducer in zip(table.columns, reducers):
-        constraint = constraint_map.get(column.name)
-        if constraint is None:
-            slots.append(None)  # wildcard skipping
-            continue
-        if constraint.is_empty:
-            slots.append(SlotConstraint(mass=np.zeros(reducer.n_tokens, dtype=dtype)))
-            continue
-        if mass_cache is not None:
-            mass = mass_cache.range_mass(column.name, constraint.intervals)
-        else:
-            mass = np.asarray(reducer.range_mass(constraint.intervals), dtype=dtype)
-        if not bias_correction and not reducer.is_exact:
-            # Vanilla (biased) sampling: whole components inside R'.
-            mass = (mass > 0.0).astype(mass.dtype)
-        slots.append(SlotConstraint(mass=mass))
-    return slots
+    return build_constraints_batch(
+        table, reducers, [query], bias_correction, mass_cache=mass_cache, dtype=dtype
+    )[0]
 
 
 def build_constraints_batch(

@@ -86,41 +86,11 @@ class RangeMassCache:
     def range_mass(self, column: str, intervals: Sequence[Interval]) -> np.ndarray:
         """Cached ``reducer.range_mass(intervals)`` for ``column``.
 
-        Bitwise-equal to the uncached call; the returned array is
+        Element 0 of :meth:`range_mass_batch` on ``[intervals]``:
+        bitwise-equal to the uncached call; the returned array is
         read-only and shared between hits — copy before mutating.
         """
-        reducer = self._reducers.get(column)
-        if reducer is None:
-            raise KeyError(f"no reducer registered for column {column!r}")
-        key = tuple((float(low), float(high)) for low, high in intervals)
-        union = self._union.setdefault(column, {})
-        cached = union.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-
-        base_impl = (
-            getattr(type(reducer).range_mass, "__qualname__", "")
-            == "DomainReducer.range_mass"
-        )
-        if base_impl:
-            # Reproduce DomainReducer.range_mass arithmetic exactly, but
-            # pull each interval's mass through the level-1 memo.
-            total = np.zeros(reducer.n_tokens, dtype=self.dtype)
-            for low, high in key:
-                total += self._interval_mass(column, reducer, low, high)
-            result = np.clip(total, 0.0, 1.0)
-        else:
-            # Reducers with a custom union rule (e.g. NullableReducer)
-            # are memoized whole; decomposing could change their answer.
-            result = np.asarray(reducer.range_mass(list(key)), dtype=self.dtype)
-        result.setflags(write=False)
-        if len(union) >= self.max_entries_per_column:
-            union.clear()
-            self.evictions += 1
-        union[key] = result
-        return result
+        return self.range_mass_batch(column, [intervals])[0]
 
     def range_mass_batch(
         self, column: str, interval_sets: Sequence[Sequence[Interval]]
@@ -133,7 +103,7 @@ class RangeMassCache:
         and computes each distinct missing interval's component mass
         exactly once across the whole batch (shared through the level-1
         memo).  Entry ``i`` of the returned list is bitwise-equal to
-        ``range_mass(column, interval_sets[i])``.
+        ``reducer.range_mass(interval_sets[i])``.
         """
         reducer = self._reducers.get(column)
         if reducer is None:
@@ -163,9 +133,9 @@ class RangeMassCache:
         )
         for key in pending:
             if base_impl:
-                # Same sum-then-clip arithmetic as range_mass, with each
-                # interval's mass pulled through the level-1 memo (so an
-                # interval shared by several queries is counted once).
+                # DomainReducer.range_mass's sum-then-clip arithmetic,
+                # with each interval's mass pulled through the level-1
+                # memo (so an interval shared by queries is counted once).
                 total = np.zeros(reducer.n_tokens, dtype=self.dtype)
                 for low, high in key:
                     total += self._interval_mass(column, reducer, low, high)

@@ -12,7 +12,10 @@ Layers (each usable on its own):
 - :mod:`repro.serve.http` — the stdlib JSON-over-HTTP front end
   (``python -m repro.serve`` starts it);
 - :mod:`repro.serve.cluster` — multi-process sharded serving over
-  zero-copy shared plans (``python -m repro.serve --workers N``).
+  zero-copy shared plans: ``ClusterService`` is an
+  ``EstimationService`` whose estimates run in worker processes, with
+  ``ServeConfig.timeout_ms`` enforced parent-side
+  (``python -m repro.serve --workers N``).
 
 See docs/serving.md for architecture and protocol.
 """

@@ -8,20 +8,20 @@ Usage::
     python -m repro.serve --selftest           # CI smoke: fit, serve, verify
     python -m repro.serve --selftest --workers 2   # multi-process smoke
 
-``--selftest`` exercises the whole stack in-process — concurrent clients
-through micro-batching and the cache, bitwise-equality against the
-sequential reference, an HTTP round trip, and the degraded/timeout
+``--selftest`` exercises the whole stack — concurrent clients through
+micro-batching and the cache, bitwise-equality against the sequential
+reference, telemetry, an HTTP round trip, and the degraded/timeout
 fallback — and exits nonzero on any violation.  With ``--workers N``
-(N > 1) the selftest instead drives the multi-process cluster: bitwise
-equality across worker processes, merged telemetry, an HTTP round trip,
-a SIGKILL/respawn cycle, the timeout-degrade path, and a shared-memory
-leak check.
+(N > 1) the same steps run against the multi-process cluster, plus a
+SIGKILL/respawn cycle and a shared-memory leak check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 import threading
 import time
@@ -75,30 +75,27 @@ def build_demo_service(
 ) -> EstimationService:
     """Fit a small IAM on a synthetic dataset and serve it by name.
 
-    ``workers > 1`` returns a started
-    :class:`~repro.serve.cluster.ClusterService` instead (same duck type
-    as far as the HTTP layer is concerned).  ``precision`` pins the
-    compiled-plan tier ('float64' | 'float32') for the served model.
+    ``workers > 1`` serves it from a started
+    :class:`~repro.serve.cluster.ClusterService` (an
+    :class:`EstimationService` whose estimates run in worker processes).
+    ``precision`` pins the compiled-plan tier ('float64' | 'float32')
+    for the served model.
     """
     estimator = _fit_demo_estimator(dataset, rows, epochs, quiet=quiet)
     if workers > 1:
         from repro.serve.cluster import ClusterConfig, ClusterService
 
-        cluster = ClusterService(
+        service = ClusterService(
             ClusterConfig(
-                workers=workers,
-                shard_policy=shard_policy,
-                serve=config or ServeConfig(),
+                workers=workers, shard_policy=shard_policy, serve=config or ServeConfig()
             )
         )
-        cluster.register(dataset, estimator, precision=precision)
         if not quiet:
             print(f"starting {workers} worker processes ...", flush=True)
-        cluster.start()
-        return cluster
-    service = EstimationService(config=config)
+    else:
+        service = EstimationService(config=config)
     service.register(dataset, estimator, precision=precision)
-    return service
+    return service.start()
 
 
 # ----------------------------------------------------------------------
@@ -126,16 +123,34 @@ def _selftest_queries(service: EstimationService, name: str, n: int):
     return [generator.generate() for _ in range(n)]
 
 
-def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
-    """End-to-end smoke test; returns a process exit code."""
+def run_selftest(
+    dataset: str = "twi",
+    rows: int = 1500,
+    workers: int = 1,
+    shard_policy: str = "replicate",
+) -> int:
+    """End-to-end smoke test; returns a process exit code.
+
+    Covers concurrent clients through the cache and batcher (in worker
+    processes when ``workers > 1``), bitwise equality against the
+    sequential reference, telemetry, an HTTP round trip, and the
+    timeout-degrade path.  A cluster also gets a SIGKILL/respawn cycle
+    and a /dev/shm leak check on close.
+    """
+    from repro.serve.cluster import leaked_segments
+    from repro.serve.cluster.testing import SlowEstimator
+
+    baseline = leaked_segments()
     config = ServeConfig(max_batch_size=8, max_wait_ms=5.0, cache_entries=512)
-    service = build_demo_service(dataset, rows=rows, config=config)
+    service = build_demo_service(
+        dataset, rows=rows, config=config, workers=workers, shard_policy=shard_policy
+    )
     failures: list[str] = []
     try:
         queries = _selftest_queries(service, dataset, 12)
         reference = [service.estimate_sequential(dataset, q) for q in queries]
 
-        # 8 threads, 2 passes: the second pass must hit the cache, and
+        # 8 threads, 2 passes: the second pass must hit a cache, and
         # every served value must equal the sequential reference bitwise.
         results: dict[tuple[int, int], float] = {}
         errors: list[str] = []
@@ -160,14 +175,21 @@ def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
             t.join()
         if errors:
             failures.append(f"client errors: {errors[:3]}")
-        mismatches = sum(
-            1 for (pass_id, qi), v in results.items() if v != reference[qi]
-        )
+        mismatches = sum(1 for (_, qi), v in results.items() if v != reference[qi])
         if mismatches:
             failures.append(f"{mismatches} served values differ from sequential reference")
-        hits = service.cache.stats().hits
-        if hits == 0:
+
+        # Telemetry (merged across worker processes in a cluster).
+        metrics = service.metrics()
+        counters = metrics["telemetry"]["counters"]
+        if counters.get("cache.hits", 0) == 0:
             failures.append("repeated workload produced zero cache hits")
+        if counters.get("requests", 0) < len(results):
+            failures.append(
+                f"telemetry lost requests: {counters.get('requests', 0)} < {len(results)}"
+            )
+        if workers > 1 and sum(w["alive"] for w in metrics["workers"]) != workers:
+            failures.append(f"expected {workers} live workers: {metrics['workers']}")
 
         # HTTP round trip on an ephemeral port.
         server = make_server(service, port=0)
@@ -185,8 +207,8 @@ def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
                 failures.append(f"/estimate returned {status}: {body}")
             elif body["selectivity"] != reference[0]:
                 failures.append("HTTP selectivity differs from sequential reference")
-            status, metrics = _http_json(f"{base}/metrics")
-            if status != 200 or metrics["cache"]["hits"] == 0:
+            status, _ = _http_json(f"{base}/metrics")
+            if status != 200:
                 failures.append(f"/metrics unhealthy (status {status})")
             status, _ = _http_json(
                 f"{base}/estimate", {"model": "nope", "predicates": predicates}
@@ -197,174 +219,25 @@ def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
             server.shutdown()
             server.server_close()
 
+        if workers > 1:
+            # SIGKILL one worker: the monitor must respawn it and answers
+            # must stay bitwise-identical throughout.
+            os.kill(service.pool.workers()[0].process.pid, signal.SIGKILL)
+            deadline = time.perf_counter() + 30.0
+            while service.pool.restarts() < 1 and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            if service.pool.restarts() < 1:
+                failures.append("killed worker was never respawned")
+            after = [service.estimate(dataset, q).selectivity for q in queries]
+            if after != reference:
+                failures.append("answers diverged after worker respawn")
+
         # Degraded path: a deliberately slow model must fall back.
+        # (SlowEstimator lives in an importable module, so spawned
+        # workers can unpickle it.)
         model = service._require_model(dataset)
         with model.lock:
             estimator = model.estimator
-        service.register(
-            "slow", _Slowed(estimator, delay_seconds=0.25), fallback="sampling"
-        )
-        degraded = service.estimate("slow", queries[0], timeout_ms=10.0)
-        if not degraded.degraded or degraded.source != "fallback":
-            failures.append(f"timeout did not degrade: {degraded.as_dict()}")
-    finally:
-        service.close()
-
-    if failures:
-        print("SELFTEST FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    stats = service.cache.stats()
-    print(
-        "selftest ok: "
-        f"{service.telemetry.counter('requests')} requests, "
-        f"{stats.hits} cache hits, "
-        f"{service.telemetry.counter('degraded')} degraded"
-    )
-    return 0
-
-
-class _Slowed:
-    """Wrap a fitted estimator with artificial latency (selftest only)."""
-
-    def __init__(self, inner, delay_seconds: float):
-        self._inner = inner
-        self._delay = delay_seconds
-        self.name = f"slow-{getattr(inner, 'name', 'estimator')}"
-
-    @property
-    def table(self):
-        return self._inner.table
-
-    def estimate(self, query):
-        time.sleep(self._delay)
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries, rngs=None):
-        time.sleep(self._delay)
-        return self._inner.estimate_batch(queries, rngs=rngs)
-
-    def runtime_plan(self):
-        return self._inner.runtime_plan()
-
-
-def run_cluster_selftest(
-    dataset: str = "twi",
-    rows: int = 1500,
-    workers: int = 2,
-    shard_policy: str = "replicate",
-) -> int:
-    """Multi-process smoke test; returns a process exit code.
-
-    Covers worker spawn/warmup, bitwise equality of concurrently served
-    answers against the in-parent sequential reference, merged
-    telemetry, an HTTP round trip, a SIGKILL/respawn cycle, the
-    timeout-degrade path, and a /dev/shm leak check on close.
-    """
-    import os
-    import signal
-
-    from repro.query.generator import QueryGenerator
-    from repro.serve.cluster import ClusterConfig, ClusterService, leaked_segments
-    from repro.serve.cluster.testing import SlowEstimator
-
-    baseline = leaked_segments()
-    estimator = _fit_demo_estimator(dataset, rows, epochs=None)
-    config = ClusterConfig(
-        workers=workers,
-        shard_policy=shard_policy,
-        heartbeat_interval_s=0.2,
-        serve=ServeConfig(max_batch_size=8, max_wait_ms=2.0, cache_entries=512),
-    )
-    failures: list[str] = []
-    service = ClusterService(config)
-    try:
-        service.register(dataset, estimator, fallback="sampling")
-        print(f"starting {workers} worker processes ...", flush=True)
-        service.start()
-
-        generator = QueryGenerator(estimator.table, seed=42)
-        queries = [generator.generate() for _ in range(10)]
-        reference = [service.estimate_sequential(dataset, q) for q in queries]
-
-        # Concurrent clients: every answer, from any worker, must equal
-        # the sequential reference bitwise.
-        results: dict[tuple[int, int], float] = {}
-        errors: list[str] = []
-        lock = threading.Lock()
-
-        def client(thread_id: int) -> None:
-            for qi, query in enumerate(queries):
-                try:
-                    r = service.estimate(dataset, query)
-                except Exception as exc:  # pragma: no cover - diagnostics
-                    with lock:
-                        errors.append(f"thread {thread_id}: {exc!r}")
-                    return
-                with lock:
-                    results[(thread_id, qi)] = r.selectivity
-
-        threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            failures.append(f"client errors: {errors[:3]}")
-        mismatches = sum(1 for (_, qi), v in results.items() if v != reference[qi])
-        if mismatches:
-            failures.append(
-                f"{mismatches} cluster answers differ from sequential reference"
-            )
-
-        # Merged telemetry across worker processes.
-        metrics = service.metrics()
-        alive = [w for w in metrics["workers"] if w["alive"]]
-        if len(alive) != workers:
-            failures.append(f"expected {workers} live workers: {metrics['workers']}")
-        served = metrics["telemetry"]["counters"].get("requests", 0)
-        if served < len(results):
-            failures.append(
-                f"merged telemetry lost requests: {served} < {len(results)}"
-            )
-
-        # HTTP round trip straight onto the cluster service.
-        server = make_server(service, port=0)
-        start_in_background(server)
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            status, health = _http_json(f"{base}/healthz")
-            if status != 200 or health.get("status") != "ok":
-                failures.append(f"/healthz returned {status}: {health}")
-            predicates = [[p.column, p.op.value, float(p.value)] for p in queries[0]]
-            status, body = _http_json(
-                f"{base}/estimate", {"model": dataset, "predicates": predicates}
-            )
-            if status != 200:
-                failures.append(f"/estimate returned {status}: {body}")
-            elif body["selectivity"] != reference[0]:
-                failures.append("HTTP selectivity differs from sequential reference")
-        finally:
-            server.shutdown()
-            server.server_close()
-
-        # SIGKILL one worker mid-flight: the monitor must respawn it and
-        # answers must stay bitwise-identical throughout.
-        victim = service.pool.workers()[0].process.pid
-        os.kill(victim, signal.SIGKILL)
-        deadline = time.perf_counter() + 30.0
-        while service.pool.restarts() < 1 and time.perf_counter() < deadline:
-            time.sleep(0.05)
-        if service.pool.restarts() < 1:
-            failures.append("killed worker was never respawned")
-        after = [service.estimate(dataset, q).selectivity for q in queries]
-        if after != reference:
-            failures.append("answers diverged after worker respawn")
-
-        # Timeout-degrade path through the cluster router.  (_Slowed is
-        # defined in this __main__ module, which spawn children cannot
-        # re-import; SlowEstimator lives in an importable module.)
         service.register(
             "slow", SlowEstimator(estimator, delay_seconds=0.3), fallback="sampling"
         )
@@ -375,19 +248,18 @@ def run_cluster_selftest(
         service.close()
 
     leaks = [s for s in leaked_segments() if s not in baseline]
-    if leaks:
+    if workers > 1 and leaks:
         failures.append(f"leaked shared-memory segments: {leaks}")
 
     if failures:
-        print("CLUSTER SELFTEST FAILED:")
+        print("SELFTEST FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print(
-        "cluster selftest ok: "
-        f"{workers} workers ({shard_policy}), "
+        f"selftest ok ({workers} worker(s), {shard_policy if workers > 1 else 'in-process'}): "
         f"{len(results)} concurrent answers bitwise-equal, "
-        f"{service.pool.restarts()} respawn(s), no leaked segments"
+        f"{service.telemetry.counter('degraded')} degraded"
     )
     return 0
 
@@ -425,12 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.selftest:
-        if args.workers > 1:
-            return run_cluster_selftest(
-                args.dataset, rows=args.rows,
-                workers=args.workers, shard_policy=args.shard_policy,
-            )
-        return run_selftest(args.dataset, rows=args.rows)
+        return run_selftest(
+            args.dataset, rows=args.rows,
+            workers=args.workers, shard_policy=args.shard_policy,
+        )
 
     config = ServeConfig(
         max_batch_size=args.max_batch_size,

@@ -4,10 +4,12 @@ Publishes each compiled :class:`~repro.runtime.plan.MADEPlan` exactly
 once into a named shared-memory segment (:mod:`.shm`) and fans requests
 out to a supervised pool of worker processes that map the arrays
 zero-copy (:mod:`.pool`).  The public entry point is
-:class:`ClusterService`, which duck-types
-:class:`~repro.serve.service.EstimationService` so the HTTP front end
-and CLI work unchanged; ``python -m repro.serve --workers N`` turns it
-on.  See docs/serving.md ("Scaling out") for the architecture.
+:class:`ClusterService`, a subclass of
+:class:`~repro.serve.service.EstimationService` that shares its registry
+and fallback ladder (``ServeConfig.timeout_ms`` included, enforced
+parent-side), so the HTTP front end and CLI work unchanged;
+``python -m repro.serve --workers N`` turns it on.  See docs/serving.md
+("Scaling out") for the architecture.
 """
 
 from repro.serve.cluster.shm import (

@@ -1,7 +1,8 @@
 """Worker pool and request router for multi-process sharded serving.
 
-Topology: the parent owns the model registry and every published plan
-segment (:mod:`repro.serve.cluster.shm`); each worker process runs an
+Topology: the parent is an :class:`~repro.serve.service.EstimationService`
+whose registry also owns every published plan segment
+(:mod:`repro.serve.cluster.shm`); each worker process runs an
 ordinary in-process :class:`~repro.serve.service.EstimationService`
 (cache + micro-batcher + deterministic seeding) over estimators whose
 compiled plans are zero-copy views into the shared segments.  Requests
@@ -14,12 +15,13 @@ single-process service, so a served selectivity is bitwise-equal no
 matter which worker computed it, whether it came from that worker's
 cache, and across respawns — the property the benchmark spot-checks.
 
-Degradation ladder (parent side, mirroring the single-process service):
-admission control sheds when the routed worker's queue depth exceeds
-``max_queue_depth`` (→ fallback answer marked ``source='shed'``, or
-:class:`~repro.errors.OverloadError` without a fallback, HTTP 429);
-deadline misses fall back exactly like the PR 2 timeout path; a worker
-crash mid-request is retried once on a healthy peer before degrading.
+Degradation ladder (parent side, the single-process service's fallback
+step): admission control sheds when the routed worker's queue depth
+exceeds ``max_queue_depth`` (→ fallback answer marked ``source='shed'``,
+or :class:`~repro.errors.OverloadError` without a fallback, HTTP 429);
+misses of ``ServeConfig.timeout_ms`` fall back exactly like the
+in-process timeout path; a worker crash mid-request is retried once on
+a healthy peer before degrading.
 
 Hot reload publishes the NEW segment first, broadcasts the new payload
 (workers re-register, re-keying their caches via
@@ -50,20 +52,16 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.estimators.base import Estimator
-from repro.estimators.registry import build_estimator
 from repro.query.query import Query
 from repro.serve.cluster import shm
 from repro.serve.service import (
     EstimateResult,
+    EstimationService,
     ServeConfig,
-    _apply_precision,
-    _estimator_from_archive,
-    _mtime,
+    ServedModel,
     _runtime_plan_of,
-    query_seed,
 )
 from repro.serve.telemetry import Telemetry, TelemetrySnapshot
-from repro.utils.rng import ensure_rng
 
 __all__ = [
     "ClusterConfig",
@@ -96,7 +94,6 @@ class ClusterConfig:
     workers: int = 2
     shard_policy: str = "replicate"  # 'replicate' | 'hash'
     max_queue_depth: int = 32  # per worker, estimates in flight
-    timeout_ms: float | None = None  # parent-side deadline before fallback
     heartbeat_interval_s: float = 1.0
     heartbeat_misses: int = 20  # consecutive missed pongs before respawn
     spawn_timeout_s: float = 120.0  # worker import+attach+register budget
@@ -115,8 +112,8 @@ class ClusterConfig:
             raise ConfigError("max_queue_depth must be >= 1")
 
     def worker_serve_config(self) -> ServeConfig:
-        """The per-worker service config: deadlines and fallback are
-        enforced parent-side, so workers run both disabled."""
+        """The per-worker service config: ``serve.timeout_ms`` and the
+        fallback are enforced parent-side, so workers run both disabled."""
         return dataclasses.replace(
             self.serve, timeout_ms=None, fallback_estimator=None
         )
@@ -569,41 +566,21 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ClusterModel:
-    """One generation of a served model; records are swapped, not mutated."""
+class ClusterService(EstimationService):
+    """An :class:`EstimationService` whose estimates run in worker processes.
 
-    name: str
-    estimator: Estimator  # parent copy: reference path + payload source
-    fallback: Estimator | None
-    num_rows: int
-    version: int
-    fingerprint: str
-    segment: shm.PlanSegment
-    source_path: str | None = None
-    source_mtime: float | None = None
-    precision: str | None = None  # pinned plan tier, re-applied on reload
-
-
-class ClusterService:
-    """Multi-process estimation service with the single-process surface.
-
-    Duck-types :class:`EstimationService` where the HTTP layer and CLI
-    need it (``estimate`` / ``estimate_sequential`` / ``models`` /
-    ``model_names`` / ``metrics`` / ``reload`` / ``close`` /
-    ``telemetry``), so ``make_server(ClusterService(...))`` just works.
+    The registry, fallback ladder, reference path and reload logic are
+    inherited; this class adds the worker pool, publishes each model
+    generation's plan as a shared-memory ``segment`` (shipped to the
+    workers before the generation goes live, released once it is
+    retired), and routes :meth:`estimate` to a worker.  The parent runs
+    no micro-batcher and keeps no result cache: each worker has both.
     """
 
     def __init__(self, config: ClusterConfig | None = None):
-        self.config = config or ClusterConfig()
-        self.telemetry = Telemetry(window=self.config.serve.telemetry_window)
-        self._lock = threading.Lock()
-        self._models: dict[str, _ClusterModel] = {}
-        # Serializes reference-path estimates on the parent's estimator
-        # copies (estimators are not thread-safe).
-        self._reference_lock = threading.Lock()
-        self.pool = WorkerPool(self.config, self._current_payload, self.telemetry)
-        self.started_at = time.time()
+        self.cluster_config = config or ClusterConfig()
+        super().__init__(self.cluster_config.serve)
+        self.pool = WorkerPool(self.cluster_config, self._current_payload, self.telemetry)
         self._started = False
 
     # -- lifecycle -------------------------------------------------------
@@ -614,182 +591,75 @@ class ClusterService:
             self._started = True
         return self
 
-    def __enter__(self) -> "ClusterService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def close(self) -> None:
         self.pool.close()
-        with self._lock:
-            records = list(self._models.values())
-            self._models.clear()
-        for record in records:
-            record.segment.release()
+        super().close()
 
-    # -- registry --------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        estimator: Estimator,
-        fallback: Estimator | str | None = None,
-        source_path: str | None = None,
-        precision: str | None = None,
-    ) -> _ClusterModel:
-        """Publish ``estimator``'s plan and serve it under ``name``.
+    # -- model generations -----------------------------------------------
+    def _install(self, model: ServedModel) -> None:
+        with model.lock:
+            version, estimator = model.version, model.estimator
+        segment = self._ship(model.name, version, estimator)
+        with model.lock:
+            model.segment = segment
 
-        The new segment is linked and broadcast before the old
-        generation's is released, so workers always hold a complete
-        generation; the old segment unlinks once its last mapping closes.
+    def _swap(self, model: ServedModel, fresh: Estimator, mtime: float | None) -> None:
+        segment = self._ship(model.name, model.current_version() + 1, fresh)
+        with model.lock:  # reentrant: the base swap takes it again
+            retired, model.segment = model.segment, segment
+            super()._swap(model, fresh, mtime)
+        retired.release()
 
-        ``precision`` pins the plan tier (as in
-        :meth:`EstimationService.register`): the estimator is switched
-        before its plan is published — a float32 tier ships a roughly
-        half-size segment — and hot reloads re-apply the pin, so the
-        publish-new / broadcast / release-old sequence swaps tiers as
-        atomically as it swaps weights.
+    def _retire(self, model: ServedModel) -> None:
+        with model.lock:
+            segment = model.segment
+        segment.release()
+
+    def _ship(self, name: str, version: int, estimator: Estimator) -> shm.PlanSegment:
+        """Publish ``estimator``'s plan as generation ``version`` of
+        ``name`` and load it into every live worker.
+
+        The new segment is linked and broadcast before the caller
+        releases the old generation's, so workers always hold a complete
+        generation; the old segment unlinks once its last mapping
+        closes.  A model pinned to ``precision="float32"`` ships a
+        roughly half-size segment.
         """
-        estimator.table  # raises NotFittedError on unfitted models
-        _apply_precision(estimator, precision)
         plan = _runtime_plan_of(estimator)
         if plan is None:
             raise ConfigError(
                 f"cluster serving requires a compiled plan; {name!r} has none"
             )
-        with self._lock:
-            previous = self._models.get(name)
-        record = _ClusterModel(
-            name=name,
-            estimator=estimator,
-            fallback=self._resolve_fallback(estimator, fallback),
-            num_rows=estimator.table.num_rows,
-            version=previous.version + 1 if previous is not None else 0,
-            fingerprint=plan.fingerprint,
-            segment=shm.publish_plan(plan),
-            source_path=source_path,
-            source_mtime=_mtime(source_path),
-            precision=precision,
-        )
-        with self._lock:
-            self._models[name] = record
-        try:
-            if self._started:
-                payload, _ = self._payload_for([record])
-                _, live = self._current_payload()
-                self.pool.broadcast(payload, live)
-        except Exception:
-            with self._lock:
-                holder = self._models.get(name)
-                if holder is record:
-                    if previous is not None:
-                        self._models[name] = previous
-                    else:
-                        del self._models[name]
-            record.segment.release()
-            raise
-        if previous is not None:
-            previous.segment.release()
-        self.telemetry.increment("models.registered")
-        return record
-
-    def load_model(
-        self, name: str, path: str, table, fallback=None,
-        precision: str | None = None,
-    ) -> _ClusterModel:
-        """Load a ``save_iam`` archive and serve it cluster-wide."""
-        return self.register(
-            name, _estimator_from_archive(path, table), fallback=fallback,
-            source_path=path, precision=precision,
-        )
-
-    def reload(self, name: str, force: bool = False) -> bool:
-        """Hot-reload from the archive: new segment in, old one drained."""
-        record = self._require_model(name)
-        if record.source_path is None:
-            raise ServeError(f"model {name!r} was not loaded from an archive")
-        current = _mtime(record.source_path)
-        if not force and current is not None and current == record.source_mtime:
-            return False
-        fresh = _estimator_from_archive(record.source_path, record.estimator.table)
-        self.register(
-            name, fresh, fallback=record.fallback or "",
-            source_path=record.source_path, precision=record.precision,
-        )
-        self.telemetry.increment("models.reloaded")
-        return True
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            record = self._models.pop(name, None)
-        if record is None:
-            raise UnknownModelError(f"no model named {name!r}")
-        record.segment.release()
+        segment = shm.publish_plan(plan)
         if self._started:
-            payload, segments = self._current_payload()
-            self.pool.broadcast(payload, segments)
+            shipped = (name, version, estimator, segment.name)
+            others = [g for g in self._live_generations() if g[0] != name]
+            try:
+                self.pool.broadcast(
+                    _payload([shipped]),
+                    sorted(segment for *_, segment in [*others, shipped]),
+                )
+            except BaseException:
+                segment.release()
+                raise
+        return segment
 
-    def model_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._models)
-
-    def models(self) -> list[dict]:
-        with self._lock:
-            records = list(self._models.values())
-        return [
-            {
-                "name": r.name,
-                "estimator": type(r.estimator).__name__,
-                "kind": getattr(r.estimator, "name", "unknown"),
-                "rows": r.num_rows,
-                "version": r.version,
-                "compiled": True,
-                "plan_fingerprint": r.fingerprint,
-                "plan_dtype": r.segment.dtype,
-                "segment": r.segment.describe(),
-                "source_path": r.source_path,
-                "fallback": getattr(r.fallback, "name", None),
-            }
-            for r in records
-        ]
-
-    def _require_model(self, name: str) -> _ClusterModel:
-        with self._lock:
-            record = self._models.get(name)
-        if record is None:
-            raise UnknownModelError(
-                f"no model named {name!r}; registered: {self.model_names()}"
-            )
-        return record
-
-    def _resolve_fallback(
-        self, estimator: Estimator, fallback: Estimator | str | None
-    ) -> Estimator | None:
-        if isinstance(fallback, Estimator):
-            return fallback
-        name = self.config.serve.fallback_estimator if fallback is None else fallback
-        if not name:
-            return None
-        return build_estimator(name).fit(estimator.table)
-
-    # -- payload shipment ------------------------------------------------
-    def _payload_for(self, records: list[_ClusterModel]) -> tuple[bytes, list[str]]:
-        entries = [
-            {
-                "name": r.name,
-                "version": r.version,
-                "estimator": _pruned_for_shipment(r.estimator),
-            }
-            for r in records
-        ]
-        payload, _ = shm.dump_for_worker(entries)
-        return payload, sorted(r.segment.name for r in records)
+    def _live_generations(self) -> list[tuple[str, int, Estimator, str]]:
+        """(name, version, estimator, segment name) of every served model."""
+        with self._registry_lock:
+            models = list(self._models.values())
+        generations = []
+        for model in models:
+            with model.lock:
+                generations.append(
+                    (model.name, model.version, model.estimator, model.segment.name)
+                )
+        return generations
 
     def _current_payload(self) -> tuple[bytes, list[str]]:
         """The full live model set — what a (re)spawned worker loads."""
-        with self._lock:
-            records = list(self._models.values())
-        return self._payload_for(records)
+        live = self._live_generations()
+        return _payload(live), sorted(segment for *_, segment in live)
 
     # -- estimation ------------------------------------------------------
     def estimate(
@@ -797,7 +667,7 @@ class ClusterService:
     ) -> EstimateResult:
         """Route one query to a worker; shed, degrade, or retry as needed."""
         start = time.perf_counter()
-        record = self._require_model(model_name)
+        model = self._require_model(model_name)
         self.telemetry.increment("requests")
         self.telemetry.increment(f"requests.{model_name}")
         key = query.cache_key()
@@ -805,31 +675,35 @@ class ClusterService:
         handle = self._route(model_name, key)
         if handle is None:  # admission control: every eligible queue full
             self.telemetry.increment("cluster.shed")
-            return self._degrade(record, query, "shed", start)
+            overload = OverloadError(
+                f"cluster queues full for {model_name!r} "
+                f"(depth bound {self.cluster_config.max_queue_depth})"
+            )
+            return self._degrade(model, query, "shed", start, overload)
 
         deadline_ms = self.config.timeout_ms if timeout_ms is None else timeout_ms
         try:
-            value = self._dispatch(handle, model_name, query, deadline_ms, start)
-        except WorkerCrashError:
-            # One retry on a healthy peer; the monitor respawns the dead one.
-            self.telemetry.increment("cluster.retries")
-            retry = self._route(model_name, key, exclude=handle)
-            if retry is None:
-                return self._degrade(record, query, "fallback", start, required=True)
             try:
-                value = self._dispatch(retry, model_name, query, deadline_ms, start)
-            except WorkerCrashError:
-                return self._degrade(record, query, "fallback", start, required=True)
-            except EstimateTimeoutError:
-                self.telemetry.increment("timeouts")
-                return self._degrade(record, query, "fallback", start, required=True)
-        except EstimateTimeoutError:
+                selectivity, source = self._dispatch(
+                    handle, model_name, query, deadline_ms, start
+                )
+            except WorkerCrashError as crash:
+                # One retry on a healthy peer; the monitor respawns the dead one.
+                self.telemetry.increment("cluster.retries")
+                handle = self._route(model_name, key, exclude=handle)
+                if handle is None:
+                    raise crash
+                selectivity, source = self._dispatch(
+                    handle, model_name, query, deadline_ms, start
+                )
+        except WorkerCrashError as exc:
+            return self._degrade(model, query, "fallback", start, exc)
+        except EstimateTimeoutError as exc:
             self.telemetry.increment("timeouts")
-            return self._degrade(record, query, "fallback", start, required=True)
-
-        selectivity, source, worker_id = value
-        return self._finish(record, selectivity, f"worker{worker_id}.{source}",
-                            False, start)
+            return self._degrade(model, query, "fallback", start, exc)
+        return self._finish(
+            model, selectivity, f"worker{handle.worker_id}.{source}", False, start
+        )
 
     def _dispatch(
         self,
@@ -838,7 +712,7 @@ class ClusterService:
         query: Query,
         deadline_ms: float | None,
         start: float,
-    ) -> tuple[float, str, int]:
+    ) -> tuple[float, str]:
         pending = handle.request("estimate", model_name, query)
         if deadline_ms is None:
             pending.event.wait()
@@ -852,7 +726,7 @@ class ClusterService:
         if pending.error is not None:
             raise pending.error
         selectivity, source, _degraded, _worker_ms = pending.value
-        return float(selectivity), source, handle.worker_id
+        return float(selectivity), source
 
     def _route(
         self, model_name: str, key: tuple, exclude: WorkerHandle | None = None
@@ -873,8 +747,8 @@ class ClusterService:
         ]
         if not candidates:
             return None
-        bound = self.config.max_queue_depth
-        if self.config.shard_policy == "hash":
+        bound = self.cluster_config.max_queue_depth
+        if self.cluster_config.shard_policy == "hash":
             signature = tuple(sorted({column for column, _, _ in key}))
             digest = zlib.crc32(f"{model_name}|{signature!r}".encode())
             designated = candidates[digest % len(candidates)]
@@ -883,73 +757,32 @@ class ClusterService:
         chosen = min(candidates, key=lambda h: h.outstanding())
         return chosen if chosen.outstanding() < bound else None
 
-    def _degrade(
-        self,
-        record: _ClusterModel,
-        query: Query,
-        source: str,
-        start: float,
-        required: bool = False,
-    ) -> EstimateResult:
-        """Answer from the parent-side fallback estimator, marked degraded."""
-        if record.fallback is None:
-            if source == "shed":
-                raise OverloadError(
-                    f"cluster queues full for {record.name!r} "
-                    f"(depth bound {self.config.max_queue_depth})"
-                )
-            if required:
-                raise
-            raise ServeError(f"no fallback available for {record.name!r}")
-        with self._reference_lock:
-            selectivity = float(record.fallback.estimate(query))
-        self.telemetry.increment("degraded")
-        return self._finish(record, selectivity, source, True, start)
-
-    def estimate_sequential(self, model_name: str, query: Query) -> float:
-        """The single-process reference path (bitwise-equality oracle)."""
-        record = self._require_model(model_name)
-        rngs = None
-        if self.config.serve.deterministic:
-            rngs = [ensure_rng(query_seed(model_name, query.cache_key()))]
-        with self._reference_lock:
-            return float(record.estimator.estimate_batch([query], rngs=rngs)[0])
-
-    def _finish(
-        self,
-        record: _ClusterModel,
-        selectivity: float,
-        source: str,
-        degraded: bool,
-        start: float,
-    ) -> EstimateResult:
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        self.telemetry.observe_ms("estimate", latency_ms)
-        return EstimateResult(
-            model=record.name,
-            selectivity=float(selectivity),
-            cardinality=float(selectivity) * record.num_rows,
-            source=source,
-            degraded=degraded,
-            latency_ms=latency_ms,
-        )
-
     # -- observability ---------------------------------------------------
     def metrics(self) -> dict:
         """Cluster-wide view: router counters + merged worker telemetry."""
         merged = self.telemetry.export()
         for snapshot in self.pool.sample_telemetry():
             merged.merge(snapshot)
-        with self._lock:
-            segments = [r.segment.describe() for r in self._models.values()]
+        models = self.models()
         return {
             "uptime_seconds": round(time.time() - self.started_at, 1),
-            "models": self.models(),
+            "models": models,
             "workers": [h.describe() for h in self.pool.workers()],
             "restarts": self.pool.restarts(),
-            "segments": segments,
+            "segments": [m["segment"] for m in models],
             "telemetry": merged.as_dict(),
         }
+
+
+def _payload(generations: list[tuple[str, int, Estimator, str]]) -> bytes:
+    """Pickle ``_live_generations``-shaped entries for the workers."""
+    payload, _ = shm.dump_for_worker(
+        [
+            {"name": name, "version": version, "estimator": _pruned_for_shipment(estimator)}
+            for name, version, estimator, _segment in generations
+        ]
+    )
+    return payload
 
 
 def _pruned_for_shipment(estimator: Estimator) -> Estimator:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError, EstimateTimeoutError, ServeError, UnknownModelError
 from repro.estimators.base import Estimator
@@ -83,13 +83,17 @@ class EstimateResult:
 
 
 class ServedModel:
-    """A named estimator plus its lock, batcher, and fallback."""
+    """A named estimator plus its lock and fallback.
+
+    The serving service attaches what executes its estimates when it
+    installs the model: a micro-batcher in process (``batcher``), or a
+    published plan ``segment`` in a cluster parent.
+    """
 
     def __init__(
         self,
         name: str,
         estimator: Estimator,
-        config: ServeConfig,
         fallback: Estimator | None = None,
         source_path: str | None = None,
         telemetry: Telemetry | None = None,
@@ -115,12 +119,8 @@ class ServedModel:
         self.telemetry = telemetry
         self._prefix_plan = self.plan
         self._prefix_baseline: dict[str, int] = {}
-        self.batcher = MicroBatcher(
-            self._run_batch,
-            max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
-            name=name,
-        )
+        self.batcher: MicroBatcher | None = None
+        self.segment = None  # cluster mode: the published plan segment
 
     def _run_batch(self, queries, rngs):
         with self.lock:
@@ -179,9 +179,9 @@ class ServedModel:
             estimator = self.estimator
             plan = self.plan
             version = self.version
-        stats = self.batcher.stats()
+            segment = self.segment
         prefix_cache = getattr(plan, "prefix_cache", None)
-        return {
+        info = {
             "name": self.name,
             "estimator": type(estimator).__name__,
             "kind": getattr(estimator, "name", "unknown"),
@@ -193,15 +193,22 @@ class ServedModel:
             "plan_nbytes": None if plan is None else plan.nbytes(),
             "source_path": self.source_path,
             "fallback": getattr(self.fallback, "name", None),
-            "batches": stats.batches,
-            "batched_requests": stats.requests,
-            "largest_batch": stats.largest_batch,
-            "mean_batch_size": round(stats.mean_batch_size, 2),
-            "groups_per_batch": round(stats.groups_per_batch, 2),
-            "mean_group_size": round(stats.mean_group_size, 2),
-            "largest_group": stats.largest_group,
             "prefix_cache": None if prefix_cache is None else prefix_cache.stats(),
         }
+        if self.batcher is not None:
+            stats = self.batcher.stats()
+            info.update(
+                batches=stats.batches,
+                batched_requests=stats.requests,
+                largest_batch=stats.largest_batch,
+                mean_batch_size=round(stats.mean_batch_size, 2),
+                groups_per_batch=round(stats.groups_per_batch, 2),
+                mean_group_size=round(stats.mean_group_size, 2),
+                largest_group=stats.largest_group,
+            )
+        if segment is not None:
+            info["segment"] = segment.describe()
+        return info
 
 
 def _runtime_plan_of(estimator) -> object | None:
@@ -246,7 +253,13 @@ def _mtime(path: str | None) -> float | None:
 
 
 class EstimationService:
-    """Routes (model, query) requests through cache, batcher, fallback."""
+    """Routes (model, query) requests through cache, batcher, fallback.
+
+    Subclasses change where estimates execute by overriding the
+    generation hooks — :meth:`_install`, :meth:`_swap` and
+    :meth:`_retire` — together with :meth:`estimate`; the registry,
+    fallback ladder and reference path stay shared.
+    """
 
     def __init__(self, config: ServeConfig | None = None, telemetry: Telemetry | None = None):
         self.config = config or ServeConfig()
@@ -258,6 +271,19 @@ class EstimationService:
         self._models: dict[str, ServedModel] = {}
         self._registry_lock = threading.Lock()
         self.started_at = time.time()
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> "EstimationService":
+        """Begin serving (in process this is immediate); returns self."""
+        return self
+
+    def __enter__(self) -> "EstimationService":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Model registry
@@ -282,24 +308,32 @@ class EstimationService:
         to every fresh estimator a hot :meth:`reload` swaps in, so a
         model keeps its tier across weight updates.  ``None`` serves the
         estimator at whatever tier it already carries.
+
+        Replacing a model starts the next version, so cache entries of
+        the replaced estimator can never answer for the new one.
         """
         estimator.table  # raises NotFittedError early on unfitted models
         _apply_precision(estimator, precision)
-        resolved = self._resolve_fallback(estimator, fallback)
         model = ServedModel(
             name,
             estimator,
-            self.config,
-            fallback=resolved,
+            fallback=self._resolve_fallback(estimator, fallback),
             source_path=source_path,
             telemetry=self.telemetry,
             precision=precision,
         )
         with self._registry_lock:
             previous = self._models.get(name)
-            self._models[name] = model
         if previous is not None:
-            previous.batcher.close()
+            with model.lock:
+                model.version = previous.current_version() + 1
+        self._install(model)
+        with self._registry_lock:
+            replaced = self._models.get(name)
+            self._models[name] = model
+        self.cache.invalidate(lambda key: key[0] == name)
+        if replaced is not None:
+            self._retire(replaced)
         self.telemetry.increment("models.registered")
         return model
 
@@ -345,11 +379,7 @@ class EstimationService:
         # recompiling the plan is the slow part), so readers atomically
         # go from old-tier plan to new-tier plan with nothing in between.
         _apply_precision(fresh, model.precision)
-        with model.lock:
-            model.estimator = fresh
-            model.plan = _runtime_plan_of(fresh)
-            model.source_mtime = current
-            model.version += 1
+        self._swap(model, fresh, current)
         self.cache.invalidate(lambda key: key[0] == name)
         self.telemetry.increment("models.reloaded")
         return True
@@ -359,7 +389,7 @@ class EstimationService:
             model = self._models.pop(name, None)
         if model is None:
             raise UnknownModelError(f"no model named {name!r}")
-        model.batcher.close()
+        self._retire(model)
         self.cache.invalidate(lambda key: key[0] == name)
 
     def models(self) -> list[dict]:
@@ -391,6 +421,30 @@ class EstimationService:
         return build_estimator(name).fit(estimator.table)
 
     # ------------------------------------------------------------------
+    # Model generations: where estimates execute
+    # ------------------------------------------------------------------
+    def _install(self, model: ServedModel) -> None:
+        """Make a new model ready to serve, before it enters the registry."""
+        model.batcher = MicroBatcher(
+            model._run_batch,
+            max_batch_size=self.config.max_batch_size,
+            max_wait_ms=self.config.max_wait_ms,
+            name=model.name,
+        )
+
+    def _swap(self, model: ServedModel, fresh: Estimator, mtime: float | None) -> None:
+        """Serve ``fresh`` as the next version of ``model`` (hot reload)."""
+        with model.lock:
+            model.estimator = fresh
+            model.plan = _runtime_plan_of(fresh)
+            model.source_mtime = mtime
+            model.version += 1
+
+    def _retire(self, model: ServedModel) -> None:
+        """Release what :meth:`_install` set up, once ``model`` left the registry."""
+        model.batcher.close()
+
+    # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
     def estimate(
@@ -419,13 +473,9 @@ class EstimationService:
                 rng=rng,
                 timeout_seconds=None if deadline_ms is None else deadline_ms / 1000.0,
             )
-        except EstimateTimeoutError:
+        except EstimateTimeoutError as exc:
             self.telemetry.increment("timeouts")
-            if model.fallback is None:
-                raise
-            selectivity = float(model.fallback.estimate(query))
-            self.telemetry.increment("degraded")
-            return self._finish(model, selectivity, "fallback", True, start)
+            return self._degrade(model, query, "fallback", start, exc)
         except Exception:
             self.telemetry.increment("errors")
             raise
@@ -445,6 +495,17 @@ class EstimationService:
             rngs = [ensure_rng(query_seed(model_name, query.cache_key()))]
         with model.lock:
             return float(model.estimator.estimate_batch([query], rngs=rngs)[0])
+
+    def _degrade(
+        self, model: ServedModel, query: Query, source: str, start: float, error: Exception
+    ) -> EstimateResult:
+        """Answer from ``model``'s fallback, marked degraded; without a
+        fallback, raise ``error`` (why the primary path gave up)."""
+        if model.fallback is None:
+            raise error
+        selectivity = float(model.fallback.estimate(query))
+        self.telemetry.increment("degraded")
+        return self._finish(model, selectivity, source, True, start)
 
     def _finish(
         self, model: ServedModel, selectivity: float, source: str, degraded: bool, start: float
@@ -476,7 +537,7 @@ class EstimationService:
             models = list(self._models.values())
             self._models.clear()
         for model in models:
-            model.batcher.close()
+            self._retire(model)
 
 
 def _estimator_from_archive(path: str, table) -> Estimator:

@@ -32,6 +32,7 @@ from repro.serve import (
     ServeConfig,
     Telemetry,
 )
+from repro.serve.cluster.testing import SlowEstimator as _Slow
 
 
 # ----------------------------------------------------------------------
@@ -265,28 +266,6 @@ def service(iam_estimator) -> EstimationService:
     svc.close()
 
 
-class _Slow:
-    """Fitted-estimator wrapper that adds latency (for timeout tests)."""
-
-    name = "slow"
-
-    def __init__(self, inner, delay_seconds: float):
-        self._inner = inner
-        self._delay = delay_seconds
-
-    @property
-    def table(self):
-        return self._inner.table
-
-    def estimate(self, query):
-        time.sleep(self._delay)
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries, rngs=None):
-        time.sleep(self._delay)
-        return self._inner.estimate_batch(queries, rngs=rngs)
-
-
 class TestEstimationService:
     def test_concurrent_served_equals_sequential(self, service, twi_workload):
         """8 threads + batching + caching == single-threaded reference."""
@@ -376,6 +355,21 @@ class TestEstimationService:
         assert metrics["cache"]["misses"] >= 1
         assert "estimate" in metrics["telemetry"]["latency"]
         assert metrics["telemetry"]["counters"]["requests"] >= 1
+
+    def test_reregistered_name_does_not_answer_from_the_old_cache(
+        self, service, twi_small, twi_workload
+    ):
+        from repro.estimators.registry import build_estimator
+
+        query = twi_workload.queries[0]
+        service.register("m", build_estimator("sampling", seed=0).fit(twi_small))
+        service.estimate("m", query)
+        replacement = build_estimator("postgres").fit(twi_small)
+        service.register("m", replacement)
+        result = service.estimate("m", query)
+        assert result.source == "batch"
+        assert result.selectivity == pytest.approx(replacement.estimate(query))
+        assert service._require_model("m").current_version() == 1
 
     def test_unregister(self, service, twi_workload):
         service.estimate("twi", twi_workload.queries[0])
