@@ -587,13 +587,8 @@ class PlanImmutabilityRule(ProjectRule):
 
     # Attribute rebinds are forbidden on plans; caches may bump counters
     # but every array they store must still be frozen.
-    frozen_classes: tuple[str, ...] = ("MADEPlan", "SharedTrainingData")
-    freeze_classes: tuple[str, ...] = (
-        "MADEPlan",
-        "RangeMassCache",
-        "PrefixCache",
-        "SharedTrainingData",
-    )
+    frozen_classes: tuple[str, ...] = ("MADEPlan",)
+    freeze_classes: tuple[str, ...] = ("MADEPlan", "RangeMassCache", "PrefixCache")
 
     def __init__(
         self,

@@ -299,66 +299,6 @@ def cmd_training(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_training_parallel(args) -> int:
-    """Data-parallel training gate: sharded gradient workers, bitwise-checked.
-
-    Writes ``BENCH_training_parallel.json`` (per-worker-count steps/sec,
-    speedup over sequential, the determinism-contract flags, and the
-    /dev/shm leak check) and exits nonzero if W=1 is not bitwise-equal
-    to the sequential compiled run, if the largest W is not reproducible
-    across runs, if any W leaves the sequential parameters outside the
-    documented tolerance, if the largest-W speedup falls under 2.5x, or
-    if a shared-memory segment leaked — CI runs this with ``--smoke``.
-    """
-    if args.smoke:
-        # Must happen before any driver reads bench_scale() (it is lazy).
-        os.environ["REPRO_BENCH_SCALE"] = "micro"
-    headers, rows, summary = experiments.training_parallel()
-    record_table(
-        "training_parallel", headers, rows,
-        title="Data-parallel training over shared memory "
-              f"(speedup x{summary['speedup_at_max_w']:.1f} at "
-              f"W={summary['repeat_w']}, bitwise_w1={summary['bitwise_w1']})",
-    )
-    _write_summary(args, "BENCH_training_parallel.json", summary)
-    failed = False
-    if not summary["bitwise_w1"]:
-        print(
-            "ERROR: W=1 parallel training diverges bitwise from the "
-            "sequential compiled run",
-            file=sys.stderr,
-        )
-        failed = True
-    if not summary["deterministic_fixed_w"]:
-        print(
-            f"ERROR: W={summary['repeat_w']} training is not bitwise-"
-            "reproducible across runs",
-            file=sys.stderr,
-        )
-        failed = True
-    if not summary["params_within_tolerance"]:
-        print(
-            "ERROR: some worker count left final parameters outside the "
-            f"documented tolerance {summary['tolerance']}",
-            file=sys.stderr,
-        )
-        failed = True
-    if summary["speedup_at_max_w"] < 2.5:
-        print(
-            f"ERROR: W={summary['repeat_w']} speedup "
-            f"{summary['speedup_at_max_w']:.2f}x is under the 2.5x gate",
-            file=sys.stderr,
-        )
-        failed = True
-    if summary["leaked_segments"]:
-        print(
-            f"ERROR: leaked shared-memory segments: {summary['leaked_segments']}",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
 def cmd_serve_scale(args) -> int:
     """Cluster-serving gate: sharded workers vs single-process, bitwise-checked.
 
@@ -424,7 +364,6 @@ COMMANDS = {
     "inference_batch": cmd_inference_batch,
     "inference_precision": cmd_inference_precision,
     "training": cmd_training,
-    "training_parallel": cmd_training_parallel,
     "serve_scale": cmd_serve_scale,
 }
 

@@ -9,6 +9,7 @@ table (or a schema-compatible one) to rebind inference.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -31,6 +32,11 @@ from repro.reducers import (
     UniformMixtureReducer,
 )
 from repro.utils.rng import ensure_rng
+
+# Config keys that older archives store but IAMConfig no longer has.
+# ``n_workers`` selected the removed data-parallel trainer; it never
+# affected a fitted model, so loading drops it.
+_RETIRED_CONFIG_KEYS = frozenset({"n_workers"})
 
 
 def _reducer_payload(reducer) -> dict:
@@ -115,6 +121,18 @@ def save_iam(model: IAM, path: str | os.PathLike) -> None:
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
+def _config_from_archive(cfg_dict: dict) -> IAMConfig:
+    """Rebuild the saved :class:`IAMConfig`, rejecting unknown keys."""
+    fields = {f.name for f in dataclasses.fields(IAMConfig)}
+    kwargs = {}
+    for key, value in cfg_dict.items():
+        if key in fields:
+            kwargs[key] = value
+        elif key not in _RETIRED_CONFIG_KEYS:
+            raise ConfigError(f"archive config has unknown key {key!r}")
+    return IAMConfig(**kwargs)
+
+
 def load_iam(path: str | os.PathLike, table: Table) -> IAM:
     """Restore a saved IAM, rebinding inference to ``table``."""
     with np.load(path) as archive:
@@ -124,9 +142,7 @@ def load_iam(path: str | os.PathLike, table: Table) -> IAM:
             for name in archive.files
             if name.startswith("ar.")
         }
-    cfg_dict = meta["config"]
-    cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
-    config = IAMConfig(**cfg_dict)
+    config = _config_from_archive(meta["config"])
 
     model = IAM(config)
     model._table = table

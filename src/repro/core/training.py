@@ -27,12 +27,11 @@ from typing import Callable
 import numpy as np
 
 from repro.ar.made import MADE
-from repro.ar.train import draw_wildcard_mask, initialize_output_bias
+from repro.ar.train import draw_wildcard_mask, initialize_output_bias, summarize_timing
 from repro.core.config import IAMConfig
-from repro.errors import CompileError, ParallelTrainError
+from repro.errors import CompileError
 from repro.mixtures.sgd_gmm import SGDGaussianMixture
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.runtime.parallel import ParallelTrainEngine
 from repro.runtime.train import TrainStepExecutor
 from repro.utils.rng import ensure_rng
 
@@ -78,14 +77,6 @@ class JointTrainer:
         self.epoch_losses: list[float] = []
         self.step_seconds: list[float] = []
         self.epoch_seconds: list[float] = []
-        self.parallel_steps = 0
-        self.parallel_fallbacks = 0
-        # Modeled per-row data stall (microseconds) for benchmarking on
-        # machines where the arithmetic alone cannot expose parallelism;
-        # applied identically to the sequential loop and inside each
-        # worker. 0.0 (default) disables it.
-        self.row_stall_us = 0.0
-        self._parallel: ParallelTrainEngine | None = None
         self._executor: TrainStepExecutor | None = None
         if config.train_backend == "compiled":
             try:
@@ -161,82 +152,6 @@ class JointTrainer:
         self._apply_updates(train_gmms, train_ar)
         return loss
 
-    # ------------------------------------------------------------------
-    def _maybe_start_parallel(self) -> None:
-        """Spawn the data-parallel engine when the config asks for it.
-
-        Requires the compiled executor (the workers run the same cached
-        tapes) and argmax assignment — sampled assignment draws from the
-        coordinator RNG per column, which cannot be sharded without
-        changing the stream. Any spawn failure degrades to sequential.
-        """
-        if self.config.n_workers < 1 or self._parallel is not None:
-            return
-        if (
-            self._executor is None
-            or self.config.assignment == "sampled"
-            or len(self.static_tokens) == 0
-        ):
-            return
-        engine = ParallelTrainEngine(
-            model=self.model,
-            gmm_modules=self.gmm_modules,
-            raw_columns=self.raw_columns,
-            static_tokens=self.static_tokens,
-            n_workers=self.config.n_workers,
-            row_stall_us=self.row_stall_us,
-        )
-        try:
-            engine.start()
-        except ParallelTrainError:
-            engine.close()
-            self.parallel_fallbacks += 1
-            return
-        self._parallel = engine
-
-    def _abandon_parallel(self) -> None:
-        """Tear the engine down after a failure and count the fallback."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-        self.parallel_fallbacks += 1
-
-    def _parallel_step(self, rows: np.ndarray, train_gmms: bool, train_ar: bool) -> float | None:
-        """One sharded step; replays sequentially if a worker dies.
-
-        The wildcard mask is drawn over the *full* batch before the shard
-        dispatch — the same RNG call, in the same order, as the sequential
-        paths (argmax assignment consumes no RNG). Parameters are only
-        touched after a successful reduction, so on failure the step is
-        replayed through the local executor with the same mask: nothing
-        is lost.
-        """
-        mask = None
-        if train_ar:
-            mask = draw_wildcard_mask(
-                self._rng, len(rows), self.model.n_columns, self.config.wildcard_probability
-            )
-        try:
-            loss = self._parallel.step(
-                rows, wildcard_mask=mask, train_gmms=train_gmms, train_ar=train_ar
-            )
-        except ParallelTrainError:
-            self._abandon_parallel()
-            tokens = self._assign_tokens(rows) if train_ar else None
-            loss = self._executor.loss_and_grads(
-                rows=rows,
-                tokens=tokens,
-                wildcard_mask=mask,
-                train_gmms=train_gmms,
-                train_ar=train_ar,
-            )
-        else:
-            self.parallel_steps += 1
-        if loss is None:
-            return None
-        self._apply_updates(train_gmms, train_ar)
-        return loss
-
     def _apply_updates(self, train_gmms: bool, train_ar: bool) -> None:
         if train_ar:
             clip_grad_norm(self.ar_optimizer.parameters, self.config.grad_clip)
@@ -261,13 +176,7 @@ class JointTrainer:
             for start in range(0, n, self.config.batch_size):
                 rows = order[start : start + self.config.batch_size]
                 began = time.perf_counter()
-                if self.row_stall_us and self._parallel is None:
-                    # Sequential counterpart of the modeled worker stall:
-                    # the whole batch stalls in one process.
-                    time.sleep(len(rows) * self.row_stall_us * 1e-6)
-                if self._parallel is not None:
-                    loss_value = self._parallel_step(rows, train_gmms, train_ar)
-                elif self._executor is not None:
+                if self._executor is not None:
                     loss_value = self._compiled_step(rows, train_gmms, train_ar)
                 else:
                     loss_value = self._eager_step(rows, train_gmms, train_ar)
@@ -319,42 +228,26 @@ class JointTrainer:
         # repro.ar.train.initialize_output_bias); assignments drift a
         # little during joint training but the marginals stay close.
         self._initialize_bias()
-        self._maybe_start_parallel()
-        try:
-            if self.config.joint_training or not self.gmm_modules:
-                # Joint epochs train everything; the final epoch freezes the
-                # GMMs so the AR model converges on *stable* assignments —
-                # during joint training the argmax assignments drift with the
-                # GMM parameters, leaving the AR marginals slightly stale.
-                joint_epochs = max(self.config.epochs - 1, 1)
-                self._run_epochs(joint_epochs, True, True, on_epoch_end)
-                if self.config.epochs > 1 and self.gmm_modules:
-                    self._run_epochs(
-                        1, False, True, on_epoch_end, epoch_offset=joint_epochs
-                    )
-            else:
-                # Separate-training ablation: GMMs alone, then the AR model.
-                self._run_epochs(self.config.epochs, True, False, None)
+        if self.config.joint_training or not self.gmm_modules:
+            # Joint epochs train everything; the final epoch freezes the
+            # GMMs so the AR model converges on *stable* assignments —
+            # during joint training the argmax assignments drift with the
+            # GMM parameters, leaving the AR marginals slightly stale.
+            joint_epochs = max(self.config.epochs - 1, 1)
+            self._run_epochs(joint_epochs, True, True, on_epoch_end)
+            if self.config.epochs > 1 and self.gmm_modules:
                 self._run_epochs(
-                    self.config.epochs, False, True, on_epoch_end, epoch_offset=self.config.epochs
+                    1, False, True, on_epoch_end, epoch_offset=joint_epochs
                 )
-        finally:
-            if self._parallel is not None:
-                self._parallel.close()
-                self._parallel = None
+        else:
+            # Separate-training ablation: GMMs alone, then the AR model.
+            self._run_epochs(self.config.epochs, True, False, None)
+            self._run_epochs(
+                self.config.epochs, False, True, on_epoch_end, epoch_offset=self.config.epochs
+            )
         return self.epoch_losses
 
     # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
         """Wall-clock accounting for the run (bench reports read this)."""
-        steps = len(self.step_seconds)
-        busy = sum(self.step_seconds)
-        return {
-            "n_steps": steps,
-            "parallel_steps": self.parallel_steps,
-            "steps_per_sec": steps / busy if busy > 0 else 0.0,
-            "p50_step_ms": float(np.median(self.step_seconds)) * 1e3 if steps else 0.0,
-            "epoch_seconds": list(self.epoch_seconds),
-            "n_workers": self.config.n_workers,
-            "parallel_fallbacks": self.parallel_fallbacks,
-        }
+        return summarize_timing(self.step_seconds, self.epoch_seconds)

@@ -56,11 +56,3 @@ class WorkerCrashError(ServeError):
 
 class CompileError(ReproError):
     """A model could not be compiled for the runtime executors."""
-
-
-class ParallelTrainError(ReproError):
-    """The data-parallel training engine failed (spawn, step, or crash).
-
-    Trainers catch this and fall back to the sequential compiled path
-    without losing the in-flight step.
-    """

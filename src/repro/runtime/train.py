@@ -122,24 +122,6 @@ class _GradTable:
             self._entries.append((param, found))
         return found
 
-    def prebind(self, param, buf: np.ndarray) -> None:
-        """Route ``param``'s compiled gradient writes into a caller buffer.
-
-        Data-parallel workers pre-bind shared-memory slices here so the
-        backward programs write shard gradients straight into the arena
-        the coordinator reduces from — no copy, no pickling.  Must run
-        before the first program compiles against ``param``.
-        """
-        if id(param) in self._by_id:
-            raise CompileError("gradient buffer already bound for parameter")
-        if buf.shape != param.data.shape or buf.dtype != param.data.dtype:
-            raise CompileError(
-                f"external gradient buffer mismatch: {buf.shape}/{buf.dtype} "
-                f"vs parameter {param.data.shape}/{param.data.dtype}"
-            )
-        self._by_id[id(param)] = buf
-        self._entries.append((param, buf))
-
     @staticmethod
     def bind(param_bufs: list[tuple[object, np.ndarray]]) -> None:
         for param, buf in param_bufs:
@@ -180,12 +162,8 @@ class CompiledMADELoss:
     executes the forward program, and immediately runs the hand-derived
     backward, writing parameter gradients into the pooled buffers. The
     return value is the RAW log-likelihood sum; the executor applies the
-    ``-(sum * (1.0 / denom))`` scaling so the per-batch loss stays
-    bitwise equal to the eager ``loss.item()``.  ``denom`` defaults to
-    the batch size; data-parallel shards pass the GLOBAL batch size so
-    per-row gradient contributions carry the full-batch ``1/B`` scale
-    and the coordinator's rank-ordered shard sum reconstructs the
-    full-batch gradient.
+    ``-(sum * (1.0 / batch))`` scaling so the per-batch loss stays
+    bitwise equal to the eager ``loss.item()``.
     """
 
     def __init__(self, model, batch: int, arena: Arena, grads: _GradTable):
@@ -269,16 +247,11 @@ class CompiledMADELoss:
         self._grad_of = {id(p): buf for p, buf in self.param_bufs}
 
     # ------------------------------------------------------------------
-    def run(self, tokens: np.ndarray, wildcard_mask: np.ndarray | None,
-            denom: int | None = None):
-        """Forward + backward for one batch; returns the raw LL sum.
-
-        ``denom`` is the gradient-normalising batch size (defaults to
-        this program's batch; shards pass the global one).
-        """
+    def run(self, tokens: np.ndarray, wildcard_mask: np.ndarray | None):
+        """Forward + backward for one batch; returns the raw LL sum."""
         tokens = np.asarray(tokens, dtype=np.int64)
         model = self.model
-        self._gfill.fill(-(1.0 / (self.batch if denom is None else denom)))
+        self._gfill.fill(-(1.0 / self.batch))
 
         # Wildcard-applied input ids (targets stay unmasked).
         np.copyto(self._in_tok, tokens)
@@ -477,21 +450,16 @@ class CompiledGMMLoss:
         ]
 
     # ------------------------------------------------------------------
-    def run(self, raw_columns: dict, rows: np.ndarray,
-            denom: int | None = None) -> dict:
+    def run(self, raw_columns: dict, rows: np.ndarray) -> dict:
         """Forward + backward; returns ``{column: raw log-prob sum}``.
 
-        The executor applies the ``-(sum * (1.0 / denom))`` NLL scaling;
-        ``denom`` (default: this program's batch) normalises the
-        gradients — shards pass the global batch size so shard-gradient
-        sums reconstruct the full-batch gradient.
+        The executor applies the ``-(sum * (1.0 / batch))`` NLL scaling.
         """
-        scale = self.batch if denom is None else denom
         terms: dict[int, object] = {}
         for entries, bufs in self._groups:
             self._load(entries, bufs, raw_columns, rows)
             self._forward(entries, bufs, terms)
-            self._backward(entries, bufs, scale)
+            self._backward(entries, bufs)
         return terms
 
     def _load(self, entries, bufs, raw_columns, rows) -> None:
@@ -544,9 +512,9 @@ class CompiledGMMLoss:
         for i, (column, _module) in enumerate(entries):
             terms[column] = bufs["LP"][i].sum()
 
-    def _backward(self, entries, bufs, denom: int) -> None:
+    def _backward(self, entries, bufs) -> None:
         G = bufs["SH"]  # softmax → gradient of the log-joint, in place
-        np.multiply(G, -(1.0 / denom), out=G)
+        np.multiply(G, -(1.0 / self.batch), out=G)
         GT1 = bufs["GT1"]
         for i in range(len(entries)):
             np.sum(G[i], axis=0, keepdims=True, out=GT1[i])
@@ -601,20 +569,6 @@ class TrainStepExecutor:
         self._gmm_cache: dict[int, CompiledGMMLoss] = {}
         self.compile_count = 0
 
-    # ------------------------------------------------------------------
-    def bind_external_grads(self, param_buffers) -> None:
-        """Pre-bind caller-owned gradient buffers (data-parallel workers).
-
-        ``param_buffers`` is an iterable of ``(param, ndarray)`` pairs;
-        every compiled backward then writes that parameter's gradient
-        straight into the given buffer (typically a shared-memory slice)
-        instead of an arena allocation.  Must be called before the first
-        program compiles; raises :class:`CompileError` on shape/dtype
-        mismatch or double binding.
-        """
-        for param, buf in param_buffers:
-            self._grads.prebind(param, buf)
-
     def _gmm_program(self, batch: int) -> CompiledGMMLoss:
         program = self._gmm_cache.get(batch)
         if program is None:
@@ -664,38 +618,3 @@ class TrainStepExecutor:
             ar_loss = -(program.run(tokens, wildcard_mask) * (1.0 / len(tokens)))
             loss = ar_loss if loss is None else loss + ar_loss
         return None if loss is None else float(loss)
-
-    def shard_sums(
-        self,
-        *,
-        rows: np.ndarray | None = None,
-        tokens: np.ndarray | None = None,
-        wildcard_mask: np.ndarray | None = None,
-        train_gmms: bool = False,
-        train_ar: bool = False,
-        denom: int,
-    ) -> tuple[float | None, dict[int, float]]:
-        """One data-parallel shard step: raw loss sums + shard gradients.
-
-        Runs the same compiled programs as :meth:`loss_and_grads` over a
-        row shard, but (a) scales gradients by ``1.0 / denom`` — the
-        GLOBAL batch size — so rank-ordered shard sums reconstruct the
-        full-batch gradient, and (b) returns the UNSCALED per-term
-        sums (AR log-likelihood sum, per-column GMM log-prob sums) for
-        the coordinator to reduce and normalise.  With one shard
-        covering the whole batch this replays exactly the sequential
-        programs, keeping the W=1 path bitwise-identical.
-        """
-        ar_sum: float | None = None
-        gmm_sums: dict[int, float] = {}
-        if train_gmms and self.gmm_modules:
-            program = self._gmm_program(len(rows))
-            _GradTable.bind(program.param_bufs)
-            sums = program.run(self.raw_columns, rows, denom=denom)
-            for column in self.gmm_modules:
-                gmm_sums[column] = float(sums[column])
-        if train_ar and self.model is not None:
-            program = self._ar_program(len(tokens))
-            _GradTable.bind(program.param_bufs)
-            ar_sum = float(program.run(tokens, wildcard_mask, denom=denom))
-        return ar_sum, gmm_sums

@@ -416,27 +416,6 @@ class TestPlanImmutabilityRule:
         })
         assert findings == []
 
-    def test_shared_training_data_is_covered_by_default(self, tmp_path):
-        # The data-parallel trainer's worker-side snapshot is held to the
-        # same discipline as compiled plans: no writes outside __init__,
-        # every stored array frozen.
-        findings = run_rule(tmp_path, "plan-immutability", {
-            "mod.py": """
-                import numpy as np
-
-                class SharedTrainingData:
-                    def __init__(self):
-                        self.static_tokens = np.zeros(4)
-
-                def drift(data: SharedTrainingData, x):
-                    data.static_tokens = x
-            """,
-        })
-        messages = sorted(f.message for f in findings)
-        assert len(findings) == 2
-        assert any("without freezing" in m for m in messages)
-        assert any("rebound" in m for m in messages)
-
     def test_constructor_args_checked_through_branches(self, tmp_path):
         findings = run_rule(tmp_path, "plan-immutability", {
             "mod.py": """

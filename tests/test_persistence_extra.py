@@ -1,5 +1,7 @@
 """Persistence across reducer kinds, and schema-rebind edge cases."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,39 @@ def test_archive_is_self_contained(fitted_iam, twi_small, tmp_path):
     restored = load_iam(path, twi_small)
     del fitted_iam
     assert q_error(max(expected, 1e-9), max(restored.estimate(q), 1e-9)) < 1.3
+
+
+def _rewrite_config(src, dst, **extra):
+    """Copy an archive, merging ``extra`` into its stored config."""
+    with np.load(src) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode())
+    meta["config"].update(extra)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
+def test_retired_n_workers_key_is_dropped_on_load(fitted_iam, twi_small, tmp_path):
+    """Archives saved while IAMConfig had ``n_workers`` still load."""
+    path = tmp_path / "plain.npz"
+    save_iam(fitted_iam, path)
+    old_path = tmp_path / "old.npz"
+    _rewrite_config(path, old_path, n_workers=0)
+    plain = load_iam(path, twi_small)
+    old = load_iam(old_path, twi_small)
+    assert old.config == plain.config
+    queries = [
+        Query.from_pairs([("latitude", "<=", 40.0)]),
+        Query.from_pairs([("longitude", ">=", -100.0), ("latitude", ">=", 30.0)]),
+    ]
+    for q in queries:
+        assert old.estimate(q) == plain.estimate(q)
+
+
+def test_unknown_config_key_raises_config_error(fitted_iam, twi_small, tmp_path):
+    path = tmp_path / "cfg.npz"
+    save_iam(fitted_iam, path)
+    bad_path = tmp_path / "bogus.npz"
+    _rewrite_config(path, bad_path, bogus=1)
+    with pytest.raises(ConfigError, match="bogus"):
+        load_iam(bad_path, twi_small)
