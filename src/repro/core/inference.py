@@ -136,11 +136,6 @@ class IAMInference:
                 dtype=sampler.dtype,
             )
         self.mass_cache = mass_cache
-        # Constructed SlotConstraint lists per query (keyed by the query's
-        # canonical form). Safe to share across calls: the sampler never
-        # mutates constraint masses, and the reducers this cache encodes
-        # live exactly as long as this object (see class docstring).
-        self._constraint_cache: dict = {}
 
     def estimate(self, query: Query, rng: np.random.Generator | None = None) -> float:
         return float(self.estimate_batch([query], rngs=None if rng is None else [rng])[0])
@@ -169,37 +164,29 @@ class IAMInference:
     ) -> list[list[SlotConstraint | None]]:
         """Constraint lists for a batch, built through the batched path.
 
-        Cached queries answer from ``_constraint_cache``; the rest are
-        deduplicated by canonical form and constructed together via
-        :func:`build_constraints_batch` (one range-mass pass per
-        column).
+        Queries are deduplicated by canonical form and constructed
+        together via :func:`build_constraints_batch` (one range-mass
+        pass per column); duplicates share one constraint list, which is
+        safe because the sampler never mutates constraint masses.
         """
-        out: list = [None] * len(queries)
-        pending: dict = {}  # cache key -> indices still needing slots
-        order: list = []  # (key, query) in first-seen order
+        indices_by_key: dict = {}  # cache key -> indices of its queries
+        order: list = []  # distinct queries in first-seen order
         for i, query in enumerate(queries):
             key = query.cache_key()
-            slots = self._constraint_cache.get(key)
-            if slots is not None:
+            if key not in indices_by_key:
+                indices_by_key[key] = []
+                order.append(query)
+            indices_by_key[key].append(i)
+        built = build_constraints_batch(
+            self.table,
+            self.reducers,
+            order,
+            self.bias_correction,
+            mass_cache=self.mass_cache,
+            dtype=self.sampler.dtype,
+        )
+        out: list = [None] * len(queries)
+        for indices, slots in zip(indices_by_key.values(), built):
+            for i in indices:
                 out[i] = slots
-                continue
-            if key not in pending:
-                pending[key] = []
-                order.append((key, query))
-            pending[key].append(i)
-        if order:
-            built = build_constraints_batch(
-                self.table,
-                self.reducers,
-                [query for _, query in order],
-                self.bias_correction,
-                mass_cache=self.mass_cache,
-                dtype=self.sampler.dtype,
-            )
-            for (key, _), slots in zip(order, built):
-                if len(self._constraint_cache) >= 4096:
-                    self._constraint_cache.clear()  # coarse bound, like RangeMassCache
-                self._constraint_cache[key] = slots
-                for i in pending[key]:
-                    out[i] = slots
         return out

@@ -93,7 +93,7 @@ class Query:
 
         Memoised: predicates are fixed at construction, and the key is
         recomputed on every hot-path lookup (result cache, seed
-        derivation, constraint cache) otherwise.
+        derivation, batch deduplication) otherwise.
         """
         if self._cache_key is None:
             triples = {

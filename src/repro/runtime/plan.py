@@ -178,6 +178,19 @@ def _frozen_view(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uniform_rows(block: np.ndarray) -> np.ndarray:
+    """``block[:1]`` when every row has row 0's bits, else ``block``.
+
+    A prefix context feeds every row the same input, and the forward
+    gives every row the same bits, so a cache entry needs one row and
+    hits replay it by broadcast.  The check is on the bits (not ``==``,
+    which equates ``-0.0`` with ``0.0``): should a BLAS ever give rows
+    different bits, the whole block is kept and replays stay exact.
+    """
+    bits = block.view(f"u{block.itemsize}")
+    return block[:1] if (bits == bits[:1]).all() else block
+
+
 class PrefixCache:
     """Bounded cache of per-column logits for constrained-column prefixes.
 
@@ -193,11 +206,14 @@ class PrefixCache:
     worker.
 
     Entries are keyed ``(column, prefix, n_rows)`` where ``prefix`` is a
-    tuple of ``(column, token)`` pairs in sampling order; the owning
-    plan's fingerprint is implicit (one cache per plan, so a hot reload
-    or cluster segment swap installs a fresh, empty cache and old
-    entries can never leak across weight snapshots).  Stored arrays are
-    frozen read-only copies, making the cache safe to share across
+    tuple of ``(column, token)`` pairs in sampling order.  Every row of
+    such a context is the same, so the plan stores one ``(1, vocab)``
+    row per entry (see :func:`_uniform_rows`) and replays it broadcast
+    to ``n_rows``; the cache itself stores whatever array it is given.
+    The owning plan's fingerprint is implicit (one cache per plan, so a
+    hot reload or cluster segment swap installs a fresh, empty cache and
+    old entries can never leak across weight snapshots).  Stored arrays
+    are frozen read-only copies, making the cache safe to share across
     threads: all bookkeeping happens under ``_lock`` and readers only
     ever see immutable arrays.
 
@@ -770,12 +786,15 @@ class MADEPlan:
         each query's first constrained column.
 
         The first call per ``(column, prefix, n_rows)`` runs the
-        ordinary forward on the synthesised tokens and parks a frozen
-        copy in the plan's shared :class:`PrefixCache`; later calls —
-        from any workspace, thread, or attached cluster worker — replay
-        that copy into the slice buffer, skipping the trunk entirely.
-        Values are bitwise-identical by construction: the cache holds
-        the same forward's own output for the same key.
+        ordinary forward on the full synthesised ``(n_rows, ...)`` token
+        block — a smaller block would not be bitwise-equal, since BLAS
+        kernels round differently per block shape — and parks a frozen
+        copy of its one distinct row in the plan's shared
+        :class:`PrefixCache`; later calls — from any workspace, thread,
+        or attached cluster worker — broadcast that row into the slice
+        buffer, skipping the trunk entirely.  Values are bitwise-
+        identical by construction: the cache holds the same forward's
+        own output for the same key.
 
         Returns a writable buffer (callers run ``softmax_inplace`` on
         it), like :meth:`forward_slice`.
@@ -790,7 +809,7 @@ class MADEPlan:
             out = self.forward_slice(
                 column, tokens, workspace=workspace, capacity=capacity
             )
-            self.prefix_cache.store(key, _frozen(out, self.dtype))
+            self.prefix_cache.store(key, _frozen(_uniform_rows(out), self.dtype))
             return out
         vocab = self.vocab_sizes[column]
         if capacity is not None and capacity > n_rows:
@@ -814,21 +833,22 @@ class MADEPlan:
         a row-wise op — so caching the post-softmax distribution under a
         ``"probs"``-marked key replays bitwise-identical values while
         skipping the replay copy *and* the block softmax. Hits return
-        the frozen cached array itself (zero copy); callers must treat
-        it as read-only, which the sampler does — it only ever derives
-        fresh arrays from the distribution. Misses route through
+        the frozen cached row broadcast to ``(n_rows, vocab)`` (a read-
+        only view, zero copy); callers must treat it as read-only, which
+        the sampler does — it only ever derives fresh arrays from the
+        distribution. Misses route through
         :meth:`forward_prefix`, so the logits entry is populated too
         (it is the exportable artifact, see :meth:`to_buffers`).
         """
         key = (column, prefix, n_rows, "probs")
         cached = self.prefix_cache.lookup(key)
         if cached is not None:
-            return cached
+            return np.broadcast_to(cached, (n_rows, self.vocab_sizes[column]))
         logits = self.forward_prefix(
             column, prefix, n_rows, workspace=workspace, capacity=capacity
         )
         probs = softmax_inplace(logits)
-        self.prefix_cache.store(key, _frozen(probs, self.dtype))
+        self.prefix_cache.store(key, _frozen(_uniform_rows(probs), self.dtype))
         return probs
 
     def forward_slice_wildcard(

@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--timeout-ms", type=float, default=None,
                         help="per-request deadline before fallback")
     parser.add_argument("--max-batch-size", type=int, default=16)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
+    parser.add_argument("--max-wait-ms", type=float, default=0.0)
     parser.add_argument("--cache-ttl", type=float, default=None,
                         help="result cache TTL in seconds")
     parser.add_argument("--workers", type=int, default=1,

@@ -3,7 +3,9 @@
 Concurrent callers block in :meth:`MicroBatcher.submit`; a single worker
 thread drains the queue into batches of at most ``max_batch_size``
 requests, waiting up to ``max_wait_ms`` after the first request for
-companions, and runs one ``run_batch(queries, rngs)`` call per batch.
+companions (by default 0: only requests already queued join), and runs
+one ``run_batch(queries, rngs)`` call per batch. Under load the queue
+fills while a batch runs, so batches form without any timer.
 For AR estimators that one call shares the forward passes across all
 coalesced queries (paper Section 5.3), which is where serving latency is
 won; per-query generators keep each result independent of who else
@@ -77,7 +79,7 @@ class MicroBatcher:
         self,
         run_batch: Callable[[list[Query], Sequence | None], np.ndarray],
         max_batch_size: int = 16,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: float = 0.0,
         name: str = "batcher",
     ):
         if max_batch_size < 1:

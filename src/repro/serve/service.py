@@ -49,7 +49,7 @@ class ServeConfig:
     cache_entries: int = 4096
     cache_ttl_seconds: float | None = None
     max_batch_size: int = 16
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     timeout_ms: float | None = None
     fallback_estimator: str | None = "sampling"
     deterministic: bool = True

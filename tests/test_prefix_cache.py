@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.core.persistence import save_iam
 from repro.runtime import MADEPlan, Workspace, compile_made
-from repro.runtime.plan import PrefixCache
+from repro.runtime.plan import PrefixCache, softmax_inplace
 from repro.serve import EstimationService, ServeConfig
 
 from tests.test_runtime import VOCABS, make_model
@@ -152,6 +152,30 @@ class TestForwardPrefix:
         replay = plan.forward_prefix(0, (), 8, Workspace())
         assert np.array_equal(replay, baseline)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_row_entries_replay_full_block_bitwise(self, dtype):
+        plan = compile_made(make_model("resmade"), dtype=dtype)
+        n_rows = 512
+        for column, prefix in ((0, ()), (1, ((0, 3),)), (2, ((0, 2), (1, 4)))):
+            vocab = plan.vocab_sizes[column]
+            tokens = np.empty((n_rows, plan.n_columns), dtype=np.int64)
+            tokens[:] = plan.wildcard_ids
+            for col, token in prefix:
+                tokens[:, col] = token
+            logits = plan.forward_slice(column, tokens, workspace=Workspace()).copy()
+            probs = softmax_inplace(logits.copy())
+
+            plan.forward_prefix_probs(column, prefix, n_rows, Workspace())  # miss
+            replay = plan.forward_prefix(column, prefix, n_rows, Workspace())
+            probs_hit = plan.forward_prefix_probs(column, prefix, n_rows, Workspace())
+
+            assert replay.dtype == dtype and np.array_equal(replay, logits)
+            assert probs_hit.shape == (n_rows, vocab)
+            assert not probs_hit.flags.writeable
+            assert probs_hit.dtype == dtype and np.array_equal(probs_hit, probs)
+        for _, entry in plan.prefix_cache.export():
+            assert entry.shape[0] == 1
+
 
 # ----------------------------------------------------------------------
 # Warm export: to_buffers / from_buffers and shm publish → attach
@@ -176,7 +200,7 @@ class TestWarmExport:
         # Counters start fresh on the clone; the warm entries hit.
         assert clone.prefix_cache.stats()["misses"] == 0
         got = clone.forward_prefix(0, (), 16, Workspace())
-        assert np.array_equal(got, warm[(0, (), 16)])
+        assert np.array_equal(got, np.broadcast_to(warm[(0, (), 16)], got.shape))
         assert clone.prefix_cache.stats()["hits"] == 1
 
     def test_cold_plan_roundtrip_has_no_prefix_meta(self, plan):
@@ -199,7 +223,8 @@ class TestWarmExport:
                     assert np.array_equal(seeded[key], array)
                 # Workers serve straight from the warm entries.
                 got = attached.forward_prefix(1, ((0, 3),), 16, Workspace())
-                assert np.array_equal(got, warm[(1, ((0, 3),), 16)])
+                entry = warm[(1, ((0, 3),), 16)]
+                assert np.array_equal(got, np.broadcast_to(entry, got.shape))
                 assert attached.prefix_cache.stats()["misses"] == 0
             finally:
                 del attached, seeded, got, array

@@ -382,12 +382,9 @@ class TestIAMEndToEnd:
         rngs = lambda: [ensure_rng(99)]  # noqa: E731 - tiny local factory
         first = inference.estimate_batch([query], rngs=rngs())
         after_first = cache.stats()
-        # Repeats are served from the constraint-list cache: the same
-        # weights come back without a single new range-mass lookup.
         second = inference.estimate_batch([query], rngs=rngs())
         assert np.array_equal(first, second)
         assert cache.stats()["misses"] == after_first["misses"]
-        assert len(inference._constraint_cache) >= 1
         # Rebuilding the constraints for the same bounds (what a fresh
         # query reusing a predicate does) hits the mass cache instead of
         # recomputing the GMM range masses.
