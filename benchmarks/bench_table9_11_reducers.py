@@ -10,13 +10,11 @@ import pytest
 
 from repro.bench import experiments, record_table
 
-TABLE_IDS = {"wisdm": "table9", "twi": "table10", "higgs": "table11"}
-
 
 @pytest.mark.parametrize("dataset", ("wisdm", "twi", "higgs"))
 def test_tables9_11_domain_reducers(benchmark, dataset):
     headers, rows = experiments.reducer_comparison(dataset)
-    record_table(f"{TABLE_IDS[dataset]}_reducers_{dataset}", headers, rows,
+    record_table(f"{experiments.TABLE_IDS[dataset]}_reducers_{dataset}", headers, rows,
                  title=f"Impact of domain reducing methods on {dataset.upper()} (reproduced)")
 
     estimator, _ = experiments.get_estimator("iam", dataset)

@@ -4,7 +4,6 @@ from repro.bench.report import (
     format_table,
     print_table,
     record_table,
-    runtime_provenance,
 )
 from repro.bench.config import BenchScale, bench_scale
 from repro.bench import experiments
@@ -13,7 +12,6 @@ __all__ = [
     "format_table",
     "print_table",
     "record_table",
-    "runtime_provenance",
     "BenchScale",
     "bench_scale",
     "experiments",

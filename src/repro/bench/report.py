@@ -43,31 +43,6 @@ def print_table(headers, rows, title=None) -> None:
     print()
 
 
-def runtime_provenance() -> dict:
-    """numpy/BLAS provenance stamped into every BENCH_*.json report.
-
-    Bench numbers are only comparable across runs when the numeric stack
-    matches: a different numpy or a different BLAS backend legitimately
-    changes latencies (and, for non-bitwise tiers, low-order bits).  The
-    payload is deliberately small and JSON-safe; fields degrade to None
-    rather than fail on exotic builds.
-    """
-    import numpy as np
-
-    blas = None
-    try:
-        config = np.show_config(mode="dicts")
-        dependencies = (config or {}).get("Build Dependencies", {})
-        info = dependencies.get("blas", {})
-        blas = {
-            "name": info.get("name"),
-            "version": info.get("version"),
-        }
-    except (TypeError, AttributeError, KeyError):  # older/odd numpy builds
-        pass
-    return {"numpy_version": np.__version__, "blas": blas}
-
-
 def record_table(name: str, headers, rows, title=None) -> str:
     """Print the table AND persist it under ``benchmarks/results/``.
 

@@ -54,9 +54,9 @@ class IAMConfig:
     inference_precision:
         'float64' (default) runs the bitwise-exact compiled plan;
         'float32' compiles the serving tier — half the plan/scratch
-        bytes, gated by the q-error tolerance contract of
-        ``repro.bench inference_precision`` instead of bitwise equality
-        (docs/runtime.md "Precision tiers").
+        bytes, held to a q-error tolerance contract instead of bitwise
+        equality (the ``test_float32_*_within_qerror_tolerance`` tests in
+        ``tests/test_runtime.py``; docs/runtime.md "Precision tiers").
     """
 
     # model structure

@@ -145,7 +145,9 @@ class IAM:
         )
 
         trainer = JointTrainer(self.model, gmm_modules, raw_columns, static_tokens, cfg)
-        self.trainer = trainer  # kept for training telemetry (repro.bench)
+        # Kept so the fit can be inspected: TestJointTrainerBitwise
+        # (tests/test_train_runtime.py) reads its GMMs and executor.
+        self.trainer = trainer
 
         callback = None
         if on_epoch_end is not None:

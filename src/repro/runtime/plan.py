@@ -16,12 +16,13 @@ Numerics contract
 Every plan operation replays the Module path's float operations in the
 same order on the same dtype, so logits — and therefore progressive-
 sampling selectivities — are **bitwise identical** to the
-``nn``/``autodiff`` path (asserted by ``tests/test_runtime.py`` and the
-``repro.bench inference`` experiment).  Compiling with a narrower
-``dtype`` (e.g. ``np.float32``) produces the *serving tier*: an
-approximation, not a bitwise replay, gated instead by the q-error
-tolerance contract of ``repro.bench inference_precision`` (max q-error
-ratio vs the float64 path <= 1.01; see docs/runtime.md "Precision
+``nn``/``autodiff`` path (asserted by ``tests/test_runtime.py``, end to
+end by ``TestIAMEndToEnd::test_estimates_bitwise_equal_to_module_path``).
+Compiling with a narrower ``dtype`` (e.g. ``np.float32``) produces the
+*serving tier*: an approximation, not a bitwise replay, held instead to
+a q-error tolerance contract (max q-error ratio vs the float64 path
+<= 1.01, asserted by the ``test_float32_*_within_qerror_tolerance``
+tests in ``tests/test_runtime.py``; see docs/runtime.md "Precision
 tiers").  Everything downstream of the plan — prebound programs,
 PrefixCache entries, range-mass tables — carries the plan dtype, and a
 :class:`Workspace` is pinned to the first plan dtype that binds a
@@ -893,8 +894,8 @@ def compile_made(made: "MADE", dtype=None) -> MADEPlan:
     ``dtype=None`` keeps the module's native dtype (float64), which is
     the bitwise-exact mode; ``dtype=np.float32`` compiles the serving
     tier — half the weight/scratch bytes and roughly double the
-    effective memory bandwidth, gated by the q-error tolerance contract
-    (``repro.bench inference_precision``) instead of bitwise equality.
+    effective memory bandwidth, held to the q-error tolerance contract
+    (docs/runtime.md "Precision tiers") instead of bitwise equality.
     """
     for attribute in ("vocab_sizes", "positions", "embed_widths", "residual"):
         if not hasattr(made, attribute):

@@ -38,8 +38,9 @@ every hand-derived backward mirrors the corresponding closure in
 are two-term float additions (commutative, hence exact). A seeded
 compiled run therefore reproduces eager per-epoch losses and final
 parameters **bitwise**; eager mode stays available as the correctness
-oracle (``train_backend='eager'``), and ``repro.bench training`` gates
-the equivalence the same way ``BENCH_inference.json`` gates inference.
+oracle (``train_backend='eager'``), and
+``tests/test_train_runtime.py::TestJointTrainerBitwise`` asserts the
+equivalence on the joint IAM fit.
 
 Unsupported model structures raise :class:`~repro.errors.CompileError`
 at executor construction; trainers catch it and fall back to eager.

@@ -108,18 +108,6 @@ class TestSingleTableDrivers:
         )
         assert [row[0] for row in rows] == ["a", "b"]
 
-    def test_serve_throughput(self):
-        from repro.bench import experiments
-
-        headers, rows, summary = experiments.serve_throughput(
-            "twi", n_queries=8, n_threads=4
-        )
-        assert headers[0] == "Mode"
-        assert len(rows) == 3  # sequential, served cold, served warm
-        # The warm repeat pass must be answered from the cache.
-        assert rows[-1][-1] >= 0.9
-        assert summary["cache"].hits > 0
-
 
 class TestJoinDrivers:
     def test_join_accuracy(self):

@@ -205,3 +205,16 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["table99"])
+
+    def test_reducers_records_paper_table_name(self, monkeypatch, tmp_path):
+        """``reducers`` regenerates the file the paper-table record names."""
+        from repro.bench import experiments
+        from repro.bench.__main__ import main
+
+        monkeypatch.setattr(
+            experiments, "reducer_comparison",
+            lambda dataset: (["Method", "Median"], [["GMM (30)", 1.0]]),
+        )
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert main(["reducers", "--dataset", "wisdm"]) == 0
+        assert (tmp_path / "table9_reducers_wisdm.txt").exists()

@@ -393,6 +393,35 @@ class TestIAMEndToEnd:
         )
         assert cache.stats()["hits"] > after_first["hits"]
 
+    def test_grouped_batch_bitwise_equal_to_per_query_loop(
+        self, fitted_iam, twi_workload
+    ):
+        """One grouped ``estimate_many`` call answers exactly what the
+        per-query loop answers when both get the serving layer's
+        per-query generators."""
+        from repro.utils.rng import query_seed
+
+        by_signature: dict[tuple, list] = {}
+        for query in twi_workload.queries:
+            signature = tuple(sorted({column for column, _, _ in query.cache_key()}))
+            by_signature.setdefault(signature, []).append(query)
+        ranked = sorted(by_signature.values(), key=len, reverse=True)
+        pool = [query for bucket in ranked[:2] for query in bucket]
+        batch = [pool[i % len(pool)] for i in range(32)]
+
+        def rngs():
+            return [ensure_rng(query_seed("iam", q.cache_key())) for q in batch]
+
+        grouped = fitted_iam.estimate_many(batch, batch_size=32, rngs=rngs())
+        assert max(fitted_iam.batch_group_sizes()) > 1
+        looped = np.array(
+            [
+                fitted_iam.estimate_many([query], rngs=[rng])[0]
+                for query, rng in zip(batch, rngs())
+            ]
+        )
+        assert np.array_equal(grouped, looped)
+
     def test_adaptive_estimate_reuses_plan(self, fitted_iam, twi_workload):
         sel, stderr, used = fitted_iam.estimate_adaptive(
             twi_workload.queries[0], max_samples=fitted_iam.config.n_progressive_samples
@@ -697,13 +726,13 @@ class TestPrecisionTiers:
 
     def test_qerror_harness_flags_perturbed_plan(self):
         """The tolerance harness itself must catch a tampered plan."""
-        from repro.bench.experiments import max_qerror_ratio
+        from repro.metrics import q_errors
 
         reference = np.array([0.1, 0.02, 0.5])
-        assert max_qerror_ratio(reference, reference) == 1.0
-        assert max_qerror_ratio(reference, reference * 1.02) > 1.01
-        assert max_qerror_ratio(reference * 1.02, reference) > 1.01  # symmetric
-        assert max_qerror_ratio([0.0], [0.0]) == 1.0  # shared zeros score 1.0
+        assert q_errors(reference, reference, n_rows=10**12).max() == 1.0
+        assert q_errors(reference, reference * 1.02, n_rows=10**12).max() > 1.01
+        assert q_errors(reference * 1.02, reference, n_rows=10**12).max() > 1.01  # symmetric
+        assert q_errors([0.0], [0.0], n_rows=10**12).max() == 1.0  # shared zeros score 1.0
 
         made = make_model("resmade")
         plan = compile_made(made)
@@ -716,7 +745,63 @@ class TestPrecisionTiers:
         queries = [toy_constraints(1), toy_constraints(3)]
         good = ProgressiveSampler(plan, n_samples=64, seed=2).estimate_batch(queries)
         bad = ProgressiveSampler(tampered, n_samples=64, seed=2).estimate_batch(queries)
-        assert max_qerror_ratio(good, bad) > 1.01
+        assert q_errors(good, bad, n_rows=10**12).max() > 1.01
+
+    def test_float32_fitted_iam_within_qerror_tolerance(self, twi_small, twi_workload):
+        """The float32 tier's tolerance contract on a fitted IAM: every
+        estimate within a 1.01 q-error ratio of the float64 oracle."""
+        from repro.core.config import IAMConfig
+        from repro.core.model import IAM
+        from repro.metrics import q_errors
+        from repro.utils.rng import query_seed
+        from tests.conftest import FAST_IAM
+
+        # A model of its own: the shared ``fitted_iam`` stays float64.
+        model = IAM(IAMConfig(**FAST_IAM)).fit(twi_small)
+        queries = twi_workload.queries
+
+        def rngs():
+            return [ensure_rng(query_seed("iam", q.cache_key())) for q in queries]
+
+        f64 = model.estimate_many(queries, rngs=rngs())
+        model.set_precision("float32")
+        assert model.runtime_plan().dtype == np.float32
+        f32 = model.estimate_many(queries, rngs=rngs())
+        assert q_errors(f64, f32, n_rows=10**12).max() <= 1.01
+
+    def test_float32_serving_probe_within_qerror_tolerance(self):
+        """The same contract at serving shape: a 128-wide ResMADE trunk,
+        2,048 progressive samples, range constraints whose edge tokens
+        carry fractional mass (what GMM-reduced ranges produce)."""
+        from repro.metrics import q_errors
+
+        vocab, n_columns = 48, 6
+        made = build_made(
+            [vocab] * n_columns, arch="resmade",
+            hidden_sizes=(128, 128, 128), embed_dim=16, seed=11,
+        )
+        rng = np.random.default_rng(55)
+        queries = []
+        for _ in range(16):
+            constraints: list = [None] * n_columns
+            for column in rng.choice(n_columns, size=3, replace=False):
+                lo = int(rng.integers(0, vocab - 1))
+                hi = int(rng.integers(lo + 1, vocab + 1))
+                mass = np.zeros(vocab)
+                mass[lo:hi] = 1.0
+                mass[lo] = rng.uniform(0.2, 1.0)
+                mass[hi - 1] *= rng.uniform(0.2, 1.0)
+                constraints[int(column)] = SlotConstraint(mass=mass)
+            queries.append(constraints)
+
+        def estimates(dtype):
+            sampler = ProgressiveSampler(made, n_samples=2048, seed=9, dtype=dtype)
+            return sampler.estimate_batch(
+                queries, rngs=[ensure_rng(1000 + i) for i in range(len(queries))]
+            )
+
+        f64, f32 = estimates(None), estimates(np.float32)
+        assert q_errors(f64, f32, n_rows=10**12).max() <= 1.01
 
     def test_config_validates_inference_precision(self):
         from repro.core.config import IAMConfig
