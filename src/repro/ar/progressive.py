@@ -203,8 +203,9 @@ class ProgressiveSampler:
     ) -> np.ndarray:
         """Vectorised estimation of several queries at once.
 
-        All queries share the forward passes: the batch is
-        ``n_queries * n_samples`` rows, constraints resolved per query.
+        Queries that constrain the same columns share the forward
+        passes (see :meth:`sample_weights`), constraints resolved per
+        query.
         Returns (n_queries,) estimated selectivities. ``clip_negative``
         should stay on for selectivities; aggregate extensions (SUM over
         signed values via ``scale`` hooks) turn it off. ``rngs`` supplies
@@ -251,10 +252,11 @@ class ProgressiveSampler:
         Batches execute column-by-column across queries, not
         query-by-query: queries are grouped by *constrained-column
         signature* (the tuple of columns they constrain, in AR order)
-        and each group runs one stacked ``(group * n_samples, hidden)``
-        trunk program per AR step.  Within a group every constrained
-        column is active for every row, so the driver works on pure
-        views — no gather copies, no per-query forward passes.  Grouping
+        and each group runs one stacked trunk program per AR step, on
+        one row per distinct sampled context (see :meth:`_sample_group`).
+        Within a group every constrained column is active for every
+        row, so the sampler works on pure views — no per-query forward
+        passes.  Grouping
         does not change any query's draws: the forward pass is row-wise
         deterministic and each query consumes its own generator exactly
         as it would alone.
@@ -284,9 +286,10 @@ class ProgressiveSampler:
             groups.setdefault(signature, []).append(qi)
         self.last_groups = [len(indices) for indices in groups.values()]
 
-        # Workspace buffers are sized to the whole call so every group
-        # shares one allocation regardless of its size.
-        capacity = n_queries * ns
+        # Workspace buffers are sized to the largest group, so every
+        # group shares one allocation (as leading views) and no buffer
+        # outgrows one group's forward.
+        capacity = max(self.last_groups, default=0) * ns
         out = np.empty((n_queries, ns), dtype=self.dtype)
         # The autodiff guard only matters on the Module backend; the plan
         # path is pure numpy and skips the (measurable) enter/exit cost.
@@ -318,6 +321,13 @@ class ProgressiveSampler:
         function of (weights, prefix) and the logits come from the
         plan's shared :class:`~repro.runtime.plan.PrefixCache` instead
         of the trunk.
+
+        After that, rows share far fewer contexts than there are rows
+        (a GMM column has K component tokens), so each row carries a
+        compact context id and the plan runs the trunk once per
+        distinct context (``forward_slice(..., expand=ctx)``); the
+        output projection, softmax, masses and draws still run on the
+        full block.
         """
         model = self.spec
         g = len(queries)
@@ -337,6 +347,10 @@ class ProgressiveSampler:
         # (column, token) prefix and cacheable across queries.
         prefix: tuple = ()
         prefix_usable = self.plan is not None
+        # Context ids: rows with equal `ctx` hold equal tokens, and
+        # `first[j]` is a row holding context j. Tracked on the plan
+        # path once the shared prefix ends.
+        ctx = first = None
         # Per-query streams only: all of a query's categorical uniforms
         # are drawn in ONE generator call at its first uniform step (the
         # generator fills a block with exactly the doubles the
@@ -368,12 +382,16 @@ class ProgressiveSampler:
                         capacity=capacity,
                     )
                 else:
+                    # Off the prefix path rows hold >= 2 contexts, so the
+                    # trunk block never drops to a 1-row (gemv) matmul;
+                    # forward_slice raises if it ever did.
                     probs = softmax_inplace(
                         self.plan.forward_slice(
                             column,
-                            tokens,
+                            tokens[first],
                             workspace=self._workspace,
                             capacity=capacity,
+                            expand=ctx,
                         )
                     )
             else:
@@ -505,6 +523,14 @@ class ProgressiveSampler:
                     prefix = prefix + ((column, token),)
                 else:
                     prefix_usable = False
+            if not prefix_usable and self.plan is not None and column != columns[-1]:
+                # Refine the context ids by this column's draw. Within
+                # the prefix every row shares context 0, so the draw
+                # alone keys the first split.
+                keys = draws if ctx is None else ctx * vocab + draws
+                _, first, ctx = np.unique(
+                    keys, return_index=True, return_inverse=True
+                )
 
             position = 0
             for constraints in queries:

@@ -12,7 +12,6 @@ the Naru/Neurocard baseline:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,18 +102,6 @@ def draw_wildcard_mask(
     return mask
 
 
-def summarize_timing(step_seconds: list[float], epoch_seconds: list[float]) -> dict:
-    """Wall-clock accounting shared by :class:`ARTrainer` and ``JointTrainer``."""
-    steps = len(step_seconds)
-    busy = sum(step_seconds)
-    return {
-        "n_steps": steps,
-        "steps_per_sec": steps / busy if busy > 0 else 0.0,
-        "p50_step_ms": float(np.median(step_seconds)) * 1e3 if steps else 0.0,
-        "epoch_seconds": list(epoch_seconds),
-    }
-
-
 class ARTrainer:
     """Trains a :class:`MADE` on a token matrix."""
 
@@ -124,8 +111,6 @@ class ARTrainer:
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self._rng = ensure_rng(self.config.seed)
         self.epoch_losses: list[float] = []
-        self.step_seconds: list[float] = []
-        self.epoch_seconds: list[float] = []
         self._executor: TrainStepExecutor | None = None
         if self.config.backend == "compiled":
             try:
@@ -180,19 +165,15 @@ class ARTrainer:
         for epoch in range(self.config.epochs):
             order = self._rng.permutation(n)
             total, seen = 0.0, 0
-            epoch_began = time.perf_counter()
             for start in range(0, n, self.config.batch_size):
                 rows = order[start : start + self.config.batch_size]
-                began = time.perf_counter()
                 loss_value = self._step(tokens, rows)
                 if loss_value is None:
                     continue
-                self.step_seconds.append(time.perf_counter() - began)
                 # Weight by row count so the final partial batch does
                 # not skew the epoch mean.
                 total += loss_value * len(rows)
                 seen += len(rows)
-            self.epoch_seconds.append(time.perf_counter() - epoch_began)
             if seen == 0:
                 # No batch produced a loss: appending a 0.0 "epoch
                 # loss" would poison the curve, so skip it and the
@@ -203,11 +184,6 @@ class ARTrainer:
             if on_epoch_end is not None:
                 on_epoch_end(epoch, epoch_loss)
         return self.epoch_losses
-
-    # ------------------------------------------------------------------
-    def timing_summary(self) -> dict:
-        """Wall-clock accounting for the run (bench reports read this)."""
-        return summarize_timing(self.step_seconds, self.epoch_seconds)
 
     # ------------------------------------------------------------------
     def evaluate_nll(self, tokens: np.ndarray, batch_size: int = 4096) -> float:

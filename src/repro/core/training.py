@@ -21,13 +21,12 @@ tokens.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
 
 from repro.ar.made import MADE
-from repro.ar.train import draw_wildcard_mask, initialize_output_bias, summarize_timing
+from repro.ar.train import draw_wildcard_mask, initialize_output_bias
 from repro.core.config import IAMConfig
 from repro.errors import CompileError
 from repro.mixtures.sgd_gmm import SGDGaussianMixture
@@ -75,8 +74,6 @@ class JointTrainer:
         gmm_params = [p for m in gmm_modules.values() for p in m.parameters()]
         self.gmm_optimizer = Adam(gmm_params, lr=config.gmm_learning_rate) if gmm_params else None
         self.epoch_losses: list[float] = []
-        self.step_seconds: list[float] = []
-        self.epoch_seconds: list[float] = []
         self._executor: TrainStepExecutor | None = None
         if config.train_backend == "compiled":
             try:
@@ -172,22 +169,18 @@ class JointTrainer:
         for epoch in range(epochs):
             order = self._rng.permutation(n)
             total, seen = 0.0, 0
-            epoch_began = time.perf_counter()
             for start in range(0, n, self.config.batch_size):
                 rows = order[start : start + self.config.batch_size]
-                began = time.perf_counter()
                 if self._executor is not None:
                     loss_value = self._compiled_step(rows, train_gmms, train_ar)
                 else:
                     loss_value = self._eager_step(rows, train_gmms, train_ar)
                 if loss_value is None:
                     continue
-                self.step_seconds.append(time.perf_counter() - began)
                 # Weight by row count: the final partial batch must not
                 # count as much as a full one in the epoch mean.
                 total += loss_value * len(rows)
                 seen += len(rows)
-            self.epoch_seconds.append(time.perf_counter() - epoch_began)
             if seen == 0:
                 # No step produced a loss (e.g. train_gmms=False on a
                 # GMM-only regime): recording a 0.0 "epoch loss" would
@@ -247,7 +240,3 @@ class JointTrainer:
             )
         return self.epoch_losses
 
-    # ------------------------------------------------------------------
-    def timing_summary(self) -> dict:
-        """Wall-clock accounting for the run (bench reports read this)."""
-        return summarize_timing(self.step_seconds, self.epoch_seconds)

@@ -18,6 +18,14 @@ same order on the same dtype, so logits — and therefore progressive-
 sampling selectivities — are **bitwise identical** to the
 ``nn``/``autodiff`` path (asserted by ``tests/test_runtime.py``, end to
 end by ``TestIAMEndToEnd::test_estimates_bitwise_equal_to_module_path``).
+Forwards that skip rows rest on *row independence*: a trunk row's bits
+do not depend on the block's row count or the row's position, for
+blocks of 2 or more rows (1-row blocks take gemv), while a narrow
+per-column output projection may round differently below a BLAS
+small-matrix threshold — so :meth:`MADEPlan.forward_slice` runs the
+trunk on distinct contexts but projects the full block
+(``tests/test_runtime.py::TestRowIndependence``; docs/runtime.md "Row
+independence").
 Compiling with a narrower ``dtype`` (e.g. ``np.float32``) produces the
 *serving tier*: an approximation, not a bitwise replay, held instead to
 a q-error tolerance contract (max q-error ratio vs the float64 path
@@ -83,6 +91,12 @@ class Workspace:
 
     __slots__ = ("_buffers", "_programs", "_program_dtype")
 
+    # Bound on memoised trunk programs (~8 KB each at hidden 128): the
+    # distinct-context forward binds one per trunk row count, so FIFO
+    # eviction keeps a long-lived sampler's set from growing with every
+    # count it has seen.  A rebuilt program costs ~55 us.
+    MAX_PROGRAMS = 256
+
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
         # Compiled step lists (see MADEPlan._trunk_program), keyed by
@@ -132,6 +146,12 @@ class Workspace:
         self._buffers.clear()
         self._programs.clear()
         self._program_dtype = None
+
+    def __deepcopy__(self, memo) -> "Workspace":
+        # A copy starts empty, as a pickled workspace does (PlanPickler):
+        # copied program closures would write into copies of the views
+        # they bind, not into the copied buffers, and so read stale input.
+        return Workspace()
 
     @property
     def nbytes(self) -> int:
@@ -639,7 +659,10 @@ class MADEPlan:
                 steps.append(partial(np.add, h, t, out=h))
             steps.append(partial(np.maximum, h, 0.0, out=h))
         program = (embeds, steps, h)
-        workspace._programs[key] = program
+        programs = workspace._programs
+        if len(programs) >= Workspace.MAX_PROGRAMS:
+            del programs[next(iter(programs))]
+        programs[key] = program
         return program
 
     def _hidden(
@@ -736,6 +759,7 @@ class MADEPlan:
         out: np.ndarray | None = None,
         workspace: Workspace | None = None,
         capacity: int | None = None,
+        expand: np.ndarray | None = None,
     ) -> np.ndarray:
         """Logits for ``column`` only: ``(batch, vocab_sizes[column])``.
 
@@ -744,16 +768,26 @@ class MADEPlan:
         ``capacity`` (>= batch) sizes the workspace buffers so callers
         issuing varying batch shapes share one allocation (see
         :meth:`_trunk_program`).
+
+        ``expand`` maps each output row to a row of ``tokens``: the trunk
+        runs once per row of ``tokens`` (one row per distinct context),
+        its activations are gathered to ``h[expand]``, and the output
+        projection runs on that full block — so the result is
+        ``(len(expand), vocab)`` and bitwise-equal to forwarding
+        ``tokens[expand]`` (see docs/runtime.md "Row independence").
+        ``tokens`` must then hold at least 2 rows: NumPy sends a 1-row
+        matmul to gemv, which rounds differently from gemm.
         """
         tokens = self._check_tokens(tokens)
         workspace = workspace if workspace is not None else Workspace()
         weight = self._out_weight_cols[column]
-        expected = (len(tokens), weight.shape[1])
+        n_out = len(tokens) if expand is None else len(expand)
+        expected = (n_out, weight.shape[1])
         if out is None:
-            if capacity is not None and capacity > len(tokens):
+            if capacity is not None and capacity > n_out:
                 out = workspace.get(
                     "slice", (capacity, weight.shape[1]), self.dtype
-                )[: len(tokens)]
+                )[:n_out]
             else:
                 out = workspace.get("slice", expected, self.dtype)
         elif out.shape != expected:
@@ -763,7 +797,23 @@ class MADEPlan:
             # Bias-only column (AR position 0): no trunk pass needed.
             out[:] = 0.0 if bias is None else bias
             return out
+        if expand is not None and len(tokens) < 2:
+            raise ShapeError(
+                "expand needs a trunk block of at least 2 rows; a 1-row "
+                "matmul takes gemv and rounds differently from gemm"
+            )
         h = self._hidden(tokens, wildcard_mask, workspace, capacity)
+        if expand is not None:
+            rows = max(n_out, capacity or 0)
+            h = np.take(
+                h,
+                expand,
+                axis=0,
+                out=workspace.get(
+                    "expand", (rows, self.hidden_width), self.dtype
+                )[:n_out],
+                mode="clip",  # indices are in range; "raise" would buffer
+            )
         np.matmul(h, weight, out=out)
         if bias is not None:
             out += bias
@@ -786,11 +836,13 @@ class MADEPlan:
         The empty prefix is the all-wildcard context the sampler hits on
         each query's first constrained column.
 
-        The first call per ``(column, prefix, n_rows)`` runs the
-        ordinary forward on the full synthesised ``(n_rows, ...)`` token
-        block — a smaller block would not be bitwise-equal, since BLAS
-        kernels round differently per block shape — and parks a frozen
-        copy of its one distinct row in the plan's shared
+        The first call per ``(column, prefix, n_rows)`` runs the trunk
+        on a 2-row block of that context and the output projection on
+        its activations expanded to ``n_rows`` rows (``expand``, see
+        :meth:`forward_slice`): trunk rows do not depend on the block's
+        row count, but a narrow projection does on some BLAS builds, so
+        the entry stays keyed on ``n_rows``.  It parks a frozen copy of
+        the block's one distinct row in the plan's shared
         :class:`PrefixCache`; later calls — from any workspace, thread,
         or attached cluster worker — broadcast that row into the slice
         buffer, skipping the trunk entirely.  Values are bitwise-
@@ -803,12 +855,18 @@ class MADEPlan:
         key = (column, prefix, n_rows)
         cached = self.prefix_cache.lookup(key)
         if cached is None:
-            tokens = np.empty((n_rows, self.n_columns), dtype=np.int64)
+            # A 1-row request keeps its 1-row (gemv) trunk, as the
+            # Module path runs it.
+            tokens = np.empty((min(n_rows, 2), self.n_columns), dtype=np.int64)
             tokens[:] = self.wildcard_ids
             for col, token in prefix:
                 tokens[:, col] = token
             out = self.forward_slice(
-                column, tokens, workspace=workspace, capacity=capacity
+                column,
+                tokens,
+                workspace=workspace,
+                capacity=capacity,
+                expand=np.zeros(n_rows, dtype=np.intp) if n_rows > 1 else None,
             )
             self.prefix_cache.store(key, _frozen(_uniform_rows(out), self.dtype))
             return out

@@ -145,6 +145,23 @@ class TestForwardPrefix:
         assert hit.shape == (8, plan.vocab_sizes[1])
         assert np.array_equal(hit, miss)
 
+    def test_miss_runs_the_trunk_on_two_rows(self, plan, monkeypatch):
+        # Every row of a prefix context is the same: the trunk runs on
+        # two of them (one would take gemv) and the projection on the
+        # activations expanded to the requested rows.
+        seen = []
+        hidden = MADEPlan._hidden
+
+        def spy(self, tokens, *args, **kwargs):
+            seen.append(len(tokens))
+            return hidden(self, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(MADEPlan, "_hidden", spy)
+        first, column = plan.ar_order()[:2]
+        out = plan.forward_prefix(column, ((first, 3),), 512, Workspace())
+        assert seen == [2]
+        assert out.shape == (512, plan.vocab_sizes[column])
+
     def test_returned_buffer_is_writable_and_cache_is_not_aliased(self, plan):
         out = plan.forward_prefix(0, (), 8, Workspace())
         baseline = out.copy()

@@ -10,6 +10,7 @@ across a serve hot reload. Plus the RangeMassCache memoization contract.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 import time
@@ -172,6 +173,17 @@ class TestMADEPlan:
         ws.clear()
         assert len(ws) == 0
 
+    def test_trunk_programs_are_bounded(self):
+        plan = compile_made(make_model("resmade"))
+        tokens, _ = random_inputs(Workspace.MAX_PROGRAMS + 20, seed=5)
+        ws = Workspace()
+        for batch in range(2, len(tokens) + 1):
+            plan.forward_slice(1, tokens[:batch], workspace=ws, capacity=len(tokens))
+        assert len(ws._programs) == Workspace.MAX_PROGRAMS
+        # An evicted program is rebuilt on the same buffers, same bits.
+        again = plan.forward_slice(1, tokens[:2], workspace=ws, capacity=len(tokens))
+        assert np.array_equal(again, plan.forward_slice(1, tokens[:2]))
+
     def test_out_argument_and_shape_validation(self):
         plan = compile_made(make_model("made"))
         tokens, wildcard = random_inputs(8, seed=3)
@@ -224,6 +236,67 @@ class TestMADEPlan:
 # ---------------------------------------------------------------------------
 # Module.export_arrays / state_arrays (weight-export API)
 # ---------------------------------------------------------------------------
+
+
+class TestRowIndependence:
+    """The contract the distinct-context forward rests on.
+
+    A trunk row's bits do not depend on how many rows share its block or
+    where it sits in the block, for blocks of 2 or more rows: running
+    the trunk on any subset reproduces those rows of the full-block
+    trunk.  A 1-row block is the exception (NumPy sends a ``(1, k)``
+    matmul to gemv, not gemm), so ``expand`` refuses one.  The narrow
+    per-column output projection is *not* held to this: BLAS small-
+    matrix kernels (OpenBLAS on AVX-512, e.g. a 12-wide float64 or a
+    7-wide float32 projection) round differently below a size threshold,
+    which is why ``forward_slice(..., expand=...)`` projects the
+    gathered full block.  A failure here names a BLAS build that breaks
+    the contract; CI prints ``numpy.show_config()`` before the tests.
+    """
+
+    N_ROWS = 2048
+
+    def _tokens(self, seed: int = 4) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return np.column_stack(
+            [rng.integers(0, v + 1, size=self.N_ROWS) for v in VOCABS]
+        )  # ids == vocab are the wildcard token
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("arch", ["made", "resmade"])
+    def test_trunk_rows_do_not_depend_on_block(self, arch, dtype):
+        plan = compile_made(make_model(arch), dtype=dtype)
+        tokens = self._tokens()
+        full = plan._hidden(tokens, None, Workspace()).copy()
+        rng = np.random.default_rng(9)
+        for size in (2, 3, 5, 17, 64, 200, 897, 1024, 2047):
+            rows = rng.choice(self.N_ROWS, size=size, replace=False)
+            part = plan._hidden(tokens[rows], None, Workspace(), self.N_ROWS)
+            assert np.array_equal(part, full[rows]), size
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("arch", ["made", "resmade"])
+    def test_expand_equals_full_block_forward(self, arch, dtype):
+        plan = compile_made(make_model(arch), dtype=dtype)
+        rng = np.random.default_rng(11)
+        for n_contexts in (2, 3, 21, 200):
+            contexts = self._tokens(n_contexts)[:n_contexts]
+            ctx = rng.integers(0, n_contexts, size=self.N_ROWS)
+            ctx[:n_contexts] = np.arange(n_contexts)  # every context used
+            for column in plan.ar_order():
+                full = plan.forward_slice(column, contexts[ctx]).copy()
+                got = plan.forward_slice(
+                    column, contexts, workspace=Workspace(), expand=ctx
+                )
+                assert got.shape == full.shape
+                assert np.array_equal(got, full), (n_contexts, column)
+
+    def test_expand_refuses_a_one_row_trunk_block(self):
+        plan = compile_made(make_model("resmade"))
+        tokens = self._tokens()[:1]
+        column = plan.ar_order()[1]  # not the bias-only first column
+        with pytest.raises(ShapeError):
+            plan.forward_slice(column, tokens, expand=np.zeros(8, dtype=np.intp))
 
 
 class TestModuleArrayExport:
@@ -314,6 +387,69 @@ class TestSamplerEquivalence:
         )
         assert np.array_equal(a, b)
         assert np.array_equal(a, np.ones_like(a))
+
+    def test_trunk_sees_one_row_per_distinct_context(self, monkeypatch):
+        """Off the prefix path each forward gets exactly one row per
+        distinct sampled context (and never a 1-row block), and the
+        answers stay bitwise-equal to the Module path."""
+        made = make_model("resmade")
+        # Range masses on three columns: the first draw already splits
+        # the rows, so the next two steps forward distinct contexts.
+        query = toy_constraints(wildcard_col=1)
+        sampler = ProgressiveSampler(made, n_samples=64, seed=2)
+        sampler.sample_weights([query], rngs=[ensure_rng(8)])  # warm the prefix cache
+
+        calls = []
+        forward_slice = MADEPlan.forward_slice
+
+        def spy(plan, column, tokens, *args, expand=None, **kwargs):
+            calls.append((np.array(tokens), None if expand is None else np.array(expand)))
+            return forward_slice(plan, column, tokens, *args, expand=expand, **kwargs)
+
+        monkeypatch.setattr(MADEPlan, "forward_slice", spy)
+        got = sampler.sample_weights([query], rngs=[ensure_rng(8)])
+        assert len(calls) == 2  # the two steps after the first constrained column
+        for tokens, expand in calls:
+            assert len(tokens) >= 2
+            assert len(np.unique(tokens, axis=0)) == len(tokens)  # one row per context
+            assert len(expand) == 64
+            assert np.array_equal(np.unique(expand), np.arange(len(tokens)))
+        module = ProgressiveSampler(made, n_samples=64, seed=2, use_plan=False)
+        assert np.array_equal(got, module.sample_weights([query], rngs=[ensure_rng(8)]))
+
+    def test_workspace_sized_to_largest_group(self):
+        """60 queries in 15 signature groups of 4: scratch is sized to
+        one group's rows, not to the whole call's."""
+        import itertools
+
+        made = make_model("resmade")
+        sampler = ProgressiveSampler(made, n_samples=128, seed=0)
+        subsets = [
+            s for r in range(1, 5) for s in itertools.combinations(range(4), r)
+        ]
+        queries = []
+        for binding in range(4):
+            for subset in subsets:
+                queries.append(
+                    [
+                        SlotConstraint(mass=((np.arange(v) + binding) % 2).astype(float))
+                        if c in subset
+                        else None
+                        for c, v in enumerate(VOCABS)
+                    ]
+                )
+        sampler.sample_weights(queries, rngs=[ensure_rng(i) for i in range(60)])
+        assert sampler.batch_stats() == {"groups": 15, "queries": 60, "largest_group": 4}
+        plan = sampler.plan
+        # Every buffer holds at most `rows` rows of one of these widths.
+        row_bytes = 8 * (
+            2 * plan.n_columns  # tokens, uniforms
+            + plan.input_width  # embed
+            + 4 * plan.hidden_width  # h, t, a, expand
+            + sum(VOCABS)  # one slice buffer per vocab width
+        )
+        rows = 4 * sampler.n_samples
+        assert 0 < sampler._workspace.nbytes <= rows * row_bytes
 
     def test_resolve_mass_dtype_regression(self):
         """resolve_mass used to hardwire float64; the dtype now threads."""
@@ -421,6 +557,21 @@ class TestIAMEndToEnd:
             ]
         )
         assert np.array_equal(grouped, looped)
+
+    def test_warm_deepcopy_answers_like_the_original(self, fitted_iam, twi_workload):
+        """A deep copy made after the model has estimated (its sampler
+        workspace holds bound trunk programs) answers bitwise like the
+        original on the same per-query generators."""
+        from repro.utils.rng import query_seed
+
+        queries = twi_workload.queries
+
+        def rngs():
+            return [ensure_rng(query_seed("iam", q.cache_key())) for q in queries]
+
+        expected = fitted_iam.estimate_many(queries, rngs=rngs())
+        clone = copy.deepcopy(fitted_iam)
+        assert np.array_equal(clone.estimate_many(queries, rngs=rngs()), expected)
 
     def test_adaptive_estimate_reuses_plan(self, fitted_iam, twi_workload):
         sel, stderr, used = fitted_iam.estimate_adaptive(

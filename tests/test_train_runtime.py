@@ -285,7 +285,6 @@ def test_empty_epoch_appends_no_loss_joint():
     trainer._run_epochs(2, True, False, lambda e, l: calls.append((e, l)))
     assert trainer.epoch_losses == []
     assert calls == []
-    assert len(trainer.epoch_seconds) == 2  # wall clock still recorded
 
 
 def test_empty_epoch_appends_no_loss_ar():
@@ -294,30 +293,3 @@ def test_empty_epoch_appends_no_loss_ar():
     losses = trainer.train(np.zeros((0, 2), dtype=np.int64))
     assert losses == []
     assert trainer.epoch_losses == []
-    assert len(trainer.epoch_seconds) == 2
-
-
-def _trained_ar():
-    rng = np.random.default_rng(3)
-    tokens = np.column_stack(
-        [rng.integers(0, 7, 200), rng.integers(0, 5, 200), rng.integers(0, 9, 200)]
-    )
-    model = build_made([7, 5, 9], arch="resmade", hidden_sizes=(16, 16), embed_dim=4, seed=2)
-    trainer = ARTrainer(model, TrainConfig(epochs=2, batch_size=64, seed=4))
-    trainer.train(tokens)
-    return trainer
-
-
-def _trained_joint():
-    trainer = _trainer()
-    trainer.train()
-    return trainer
-
-
-@pytest.mark.parametrize("make", [_trained_ar, _trained_joint], ids=["ar", "joint"])
-def test_timing_summary(make):
-    trainer = make()
-    timing = trainer.timing_summary()
-    assert timing["n_steps"] == len(trainer.step_seconds)
-    assert timing["steps_per_sec"] > 0
-    assert len(timing["epoch_seconds"]) == 2
