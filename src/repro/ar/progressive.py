@@ -70,30 +70,9 @@ class SlotConstraint:
         ``dtype`` is the sampler's working precision: float64 for the
         exact path, the plan dtype for reduced-precision plans. (It used
         to be hardwired to float64, silently upcasting float32 models.)
-
-        A static 1-D ``mass`` with no ``per_sample`` hook resolves to the
-        same broadcast view on every call, so that case is memoised per
-        ``(dtype, batch)``. The cached result is a *view* over ``mass``
-        (exactly what the uncached path returned), not a copy.
+        A static 1-D ``mass`` resolves to a broadcast view over it, not
+        a copy.
         """
-        if self.per_sample is None:
-            if self.mass is None:
-                return None
-            n = len(sampled_tokens)
-            cached = getattr(self, "_resolved", None)
-            if cached is not None and cached[0] == (np.dtype(dtype), n):
-                return cached[1]
-            mass = np.asarray(self.mass, dtype=dtype)
-            if mass.ndim == 1:
-                if mass.shape[0] != vocab:
-                    raise ConfigError(
-                        f"constraint mass has size {mass.shape[0]}, expected {vocab}"
-                    )
-                combined = np.broadcast_to(mass, (n, vocab))
-            else:
-                combined = mass
-            self._resolved = ((np.dtype(dtype), n), combined)
-            return combined
         combined = None
         if self.mass is not None:
             mass = np.asarray(self.mass, dtype=dtype)
@@ -105,6 +84,8 @@ class SlotConstraint:
                 combined = np.broadcast_to(mass, (len(sampled_tokens), vocab))
             else:
                 combined = mass
+        if self.per_sample is None:
+            return combined
         dynamic = np.asarray(self.per_sample(sampled_tokens), dtype=dtype)
         return dynamic if combined is None else combined * dynamic
 
@@ -286,10 +267,6 @@ class ProgressiveSampler:
             groups.setdefault(signature, []).append(qi)
         self.last_groups = [len(indices) for indices in groups.values()]
 
-        # Workspace buffers are sized to the largest group, so every
-        # group shares one allocation (as leading views) and no buffer
-        # outgrows one group's forward.
-        capacity = max(self.last_groups, default=0) * ns
         out = np.empty((n_queries, ns), dtype=self.dtype)
         # The autodiff guard only matters on the Module backend; the plan
         # path is pure numpy and skips the (measurable) enter/exit cost.
@@ -300,7 +277,6 @@ class ProgressiveSampler:
                     signature,
                     [queries[qi] for qi in indices],
                     group_rngs,
-                    capacity,
                 )
         return out
 
@@ -309,7 +285,6 @@ class ProgressiveSampler:
         columns: tuple[int, ...],
         queries: Sequence[Sequence[SlotConstraint | None]],
         rngs: Sequence[np.random.Generator] | None,
-        capacity: int,
     ) -> np.ndarray:
         """Sample one signature group: every query constrains ``columns``.
 
@@ -334,11 +309,9 @@ class ProgressiveSampler:
         ns = self.n_samples
         n_rows = g * ns
         # `tokens` is internal scratch (never escapes this call) so it
-        # lives in the workspace — a leading view of the capacity-sized
-        # buffer, shared across groups; the result is a fresh array.
-        tokens = self._workspace.get(
-            "tokens", (capacity, model.n_columns), np.int64
-        )[:n_rows]
+        # lives in the workspace — a leading view of a buffer shared
+        # across groups; the result is a fresh array.
+        tokens = self._workspace.get("tokens", (n_rows, model.n_columns), np.int64)
         tokens[:] = model.wildcard_ids
         weights = np.ones(n_rows, dtype=self.dtype)
         first_column = True  # stratification applies to the first step only
@@ -375,11 +348,7 @@ class ProgressiveSampler:
                     # hit (only ever read below — every branch derives
                     # fresh arrays from `probs`).
                     probs = self.plan.forward_prefix_probs(
-                        column,
-                        prefix,
-                        n_rows,
-                        workspace=self._workspace,
-                        capacity=capacity,
+                        column, prefix, n_rows, workspace=self._workspace
                     )
                 else:
                     # Off the prefix path rows hold >= 2 contexts, so the
@@ -390,7 +359,6 @@ class ProgressiveSampler:
                             column,
                             tokens[first],
                             workspace=self._workspace,
-                            capacity=capacity,
                             expand=ctx,
                         )
                     )
@@ -481,24 +449,25 @@ class ProgressiveSampler:
                         # its systematic draws already, so each query's
                         # block starts exactly where its per-column
                         # stream would.
+                        # Rows-first, so the buffer grows along axis 0
+                        # like every other: column j of a row block is
+                        # the query's j-th remaining uniform step.
                         remaining = len(columns) - columns.index(column)
                         uniforms = self._workspace.get(
-                            "uniforms",
-                            (model.n_columns, capacity, 1),
-                            np.float64,
-                        )[:remaining, :n_rows]
+                            "uniforms", (n_rows, model.n_columns), np.float64
+                        )[:, :remaining]
                         position = 0
                         for qi in range(g):
-                            uniforms[:, position : position + ns] = rngs[
+                            uniforms[position : position + ns] = rngs[
                                 qi
-                            ].uniform(size=(remaining, ns, 1))
+                            ].uniform(size=(remaining, ns)).T
                             position += ns
-                    u = uniforms[u_index]
+                    u = uniforms[:, u_index, None]
                     u_index += 1
                 else:
                     u = self._workspace.get(
-                        "uniforms", (model.n_columns, capacity, 1), np.float64
-                    )[0, :n_rows]
+                        "uniforms", (n_rows, model.n_columns), np.float64
+                    )[:, :1]
                     position = 0
                     for qi in range(g):
                         u[position : position + ns] = self._rng.uniform(

@@ -15,8 +15,9 @@ pure-numpy execution form for the query path:
   :class:`~repro.runtime.train.Arena`, and fused kernels for the
   Equation-6 loss, bitwise-equivalent to the eager autodiff path (see
   ``docs/training_runtime.md``).
-- :mod:`repro.runtime.shmio` — named shared-memory array segments, the
-  wire format the serving cluster publishes compiled plans in.
+
+The serving cluster publishes compiled plans to its workers over shared
+memory in :mod:`repro.serve.cluster.shm`.
 
 The split is machine-enforced: the ``runtime-tensor-in-inference``
 iamlint rule forbids ``autodiff.Tensor`` construction anywhere in this

@@ -9,7 +9,17 @@ compiles a trained :class:`~repro.ar.made.MADE` into a
 :class:`MADEPlan`: contiguous read-only numpy arrays with the binary
 connectivity masks folded into the weights once (``W * mask`` at compile
 time), per-column output projections pre-sliced, and all scratch memory
-coming from a caller-owned :class:`Workspace` of preallocated buffers.
+coming from a caller-owned :class:`Workspace`.
+
+Progressive sampling needs one kind of forward — one column's
+conditional for a block of sampled contexts — and the plan runs it one
+way: :meth:`MADEPlan.forward_slice` replays a trunk program prebound to
+workspace buffers (wildcards ride in the token ids), and
+:meth:`MADEPlan.forward_prefix_probs` serves the softmaxed conditional
+of a constrained-prefix context from the plan's :class:`PrefixCache`,
+one entry per context.  Workspace buffers grow along axis 0 to the
+largest block requested and are handed out as leading views, so one
+buffer set serves every block size a sampler meets.
 
 Numerics contract
 -----------------
@@ -42,7 +52,7 @@ A :class:`MADEPlan` is immutable after compilation (every array is
 marked read-only) and may be shared freely across threads — the serving
 layer compiles one plan per registered model and lets every worker use
 it.  The one mutable structure a plan owns, its :class:`PrefixCache` of
-constrained-prefix logits, is internally locked and only ever hands out
+constrained-prefix conditionals, is internally locked and only ever hands out
 frozen arrays, so sharing the plan shares the cache safely too.  A
 :class:`Workspace` is mutable scratch state and must NOT be shared
 between concurrent callers; give each thread (or each sampler) its own,
@@ -74,12 +84,16 @@ __all__ = [
 
 
 class Workspace:
-    """Preallocated scratch buffers keyed on ``(tag, shape, dtype)``.
+    """Scratch buffers keyed on ``(tag, trailing shape, dtype)``.
 
-    Buffers are created lazily on first request and reused verbatim for
-    every later request with the same key, so a sampler issuing the same
-    batch shape D times per query allocates nothing after warm-up.  Not
-    thread-safe: one workspace per concurrent caller.
+    One buffer per key, grown along axis 0 to the largest row count
+    requested so far; :meth:`get` hands out a leading view of it.  A
+    sampler that meets groups of varying sizes therefore holds one
+    buffer set sized to its largest forward, not one per size it has
+    seen, and allocates nothing once that size has been reached.
+    Leading views of C-contiguous buffers are themselves C-contiguous,
+    so BLAS sees the same layout as an exact-size buffer and results
+    stay bitwise.  Not thread-safe: one workspace per concurrent caller.
 
     A workspace is additionally pinned to one *plan* dtype: the first
     compiled program bound onto it fixes the precision tier, and binding
@@ -100,11 +114,8 @@ class Workspace:
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
         # Compiled step lists (see MADEPlan._trunk_program), keyed by
-        # (plan fingerprint, capacity, batch). Closures bind the buffers
-        # above, so clearing one without the other would leave dangling
-        # aliases.  (Memoised forward results used to live here too; they
-        # moved to the plan-owned PrefixCache so every workspace — and
-        # every cluster worker — shares one copy.)
+        # (plan fingerprint, batch).  Closures bind views of the buffers
+        # above, so growing a buffer drops them all.
         self._programs: dict[tuple, tuple] = {}
         # Plan dtype of the first program bound here; None until then.
         self._program_dtype: np.dtype | None = None
@@ -131,16 +142,18 @@ class Workspace:
             )
 
     def get(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Return the reusable buffer for ``(tag, shape, dtype)``.
+        """A ``shape`` leading view of the buffer for ``(tag, shape[1:], dtype)``.
 
         Contents are unspecified on entry; callers overwrite fully.
         """
-        key = (tag, shape, np.dtype(dtype))
+        rows = shape[0]
+        key = (tag, tuple(shape[1:]), np.dtype(dtype))
         buffer = self._buffers.get(key)
-        if buffer is None:
+        if buffer is None or len(buffer) < rows:
             buffer = np.empty(shape, dtype=dtype)
             self._buffers[key] = buffer
-        return buffer
+            self._programs.clear()  # they alias the buffer just replaced
+        return buffer[:rows]
 
     def clear(self) -> None:
         self._buffers.clear()
@@ -213,30 +226,29 @@ def _uniform_rows(block: np.ndarray) -> np.ndarray:
 
 
 class PrefixCache:
-    """Bounded cache of per-column logits for constrained-column prefixes.
+    """Bounded cache of per-column conditionals for constrained prefixes.
 
     Progressive sampling repeatedly evaluates the MADE on contexts that
     are pure functions of the compiled weights: before any column is
     sampled every input token is the wildcard id, and after an
     equality-constrained column every sample carries the same token.
     Those contexts — a *prefix* of ``(column, token)`` assignments over
-    an otherwise all-wildcard input — produce identical logits for every
-    query that reaches them, so the plan caches the forward result once
-    and replays the bytes for every later query, thread, and (via the
-    shared-memory export, see :meth:`MADEPlan.to_buffers`) cluster
-    worker.
+    an otherwise all-wildcard input — produce the same conditional for
+    every query that reaches them, so the plan caches it once (see
+    :meth:`MADEPlan.forward_prefix_probs`) and replays the bytes for
+    every later query and thread.
 
     Entries are keyed ``(column, prefix, n_rows)`` where ``prefix`` is a
-    tuple of ``(column, token)`` pairs in sampling order.  Every row of
-    such a context is the same, so the plan stores one ``(1, vocab)``
-    row per entry (see :func:`_uniform_rows`) and replays it broadcast
-    to ``n_rows``; the cache itself stores whatever array it is given.
-    The owning plan's fingerprint is implicit (one cache per plan, so a
-    hot reload or cluster segment swap installs a fresh, empty cache and
-    old entries can never leak across weight snapshots).  Stored arrays
-    are frozen read-only copies, making the cache safe to share across
-    threads: all bookkeeping happens under ``_lock`` and readers only
-    ever see immutable arrays.
+    tuple of ``(column, token)`` pairs in sampling order, one entry per
+    context.  Every row of such a context is the same, so the plan
+    stores one ``(1, vocab)`` row per entry (see :func:`_uniform_rows`)
+    and replays it broadcast to ``n_rows``; the cache itself stores
+    whatever array it is given.  The owning plan's fingerprint is
+    implicit (one cache per plan, so a hot reload or cluster segment
+    swap installs a fresh, empty cache and old entries can never leak
+    across weight snapshots).  Stored arrays are frozen read-only,
+    making the cache safe to share across threads: all bookkeeping
+    happens under ``_lock`` and readers only ever see immutable arrays.
 
     The cache is bounded (FIFO eviction at ``max_entries``) so
     adversarial workloads — many distinct equality prefixes — cannot
@@ -262,7 +274,7 @@ class PrefixCache:
         self._evictions = 0
 
     def lookup(self, key: tuple) -> np.ndarray | None:
-        """The frozen logits for ``key``, or None (counted as hit/miss)."""
+        """The frozen entry for ``key``, or None (counted as hit/miss)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -297,16 +309,10 @@ class PrefixCache:
                 "evictions": self._evictions,
             }
 
-    def export(self) -> list[tuple[tuple, np.ndarray]]:
-        """Snapshot of ``(key, frozen array)`` pairs, insertion-ordered."""
-        with self._lock:
-            return list(self._entries.items())
-
     def __reduce__(self):
         # The lock is process-local and the entries are derived data
-        # (rebuilt on first miss, or shipped explicitly by the plan's
-        # shared-memory export) — a pickled cache travels empty, like a
-        # freshly compiled plan's. Pinned to the base class: dynamic
+        # (rebuilt on first miss) — a pickled cache travels empty, like
+        # a freshly compiled plan's. Pinned to the base class: dynamic
         # instrumentation subclasses (the race sanitizer's) are
         # process-local and not picklable by name.
         dtype = None if self.dtype is None else self.dtype.str
@@ -343,12 +349,13 @@ class MADEPlan:
     Built by :func:`compile_made`, never mutated afterwards.  Exposes the
     sampler-facing surface of :class:`~repro.ar.made.MADE`
     (``n_columns`` / ``vocab_sizes`` / ``wildcard_ids`` / ``ar_order``)
-    plus two execution entry points:
+    plus two execution entry points, both one column's conditional for
+    a block of sampled contexts (the progressive sampler's step *i*):
 
-    - :meth:`forward_logits` — logits for every column at once;
-    - :meth:`forward_slice` — logits for one column only, the shape the
-      progressive sampler needs at step *i* (only that column's slice of
-      the output projection is multiplied).
+    - :meth:`forward_slice` — that column's logits, multiplying only its
+      slice of the output projection;
+    - :meth:`forward_prefix_probs` — its softmaxed conditional for a
+      constrained-prefix context, cached in :attr:`prefix_cache`.
     """
 
     def __init__(
@@ -387,18 +394,15 @@ class MADEPlan:
         for width in self.embed_widths:
             self._embed_slices.append(slice(start, start + width))
             start += width
-        self.output_slices: list[slice] = []
-        start = 0
-        for vocab in self.vocab_sizes:
-            self.output_slices.append(slice(start, start + vocab))
-            start += vocab
-        self.total_vocab = start
         # Per-column contiguous output projections: matches the Module
         # path, which materialises `(weight * mask)[:, s]` as a fresh
         # contiguous array on every column_logits call.
         self._out_weight_cols = []
         self._out_bias_cols = []
-        for s in self.output_slices:
+        start = 0
+        for vocab in self.vocab_sizes:
+            s = slice(start, start + vocab)
+            start += vocab
             w = np.ascontiguousarray(self.out_weight[:, s])
             w.setflags(write=False)
             self._out_weight_cols.append(w)
@@ -449,7 +453,9 @@ class MADEPlan:
         ``meta`` is a JSON-safe description (shapes/dtypes live on the
         arrays themselves); ``arrays`` maps stable names to the plan's
         read-only ndarrays, *by reference* (no copies).  Feeding both to
-        :meth:`from_buffers` reconstructs an equivalent plan; serializers
+        :meth:`from_buffers` reconstructs an equivalent plan with an empty
+        prefix cache (its entries are derived data outside the
+        fingerprint, so none are exported); serializers
         (``repro.serve.cluster.shm``, future on-disk caches) consume this
         instead of reaching into plan attributes.
         """
@@ -475,28 +481,6 @@ class MADEPlan:
             arrays[f"trunk.{i}.weight"] = weight
             if bias is not None:
                 arrays[f"trunk.{i}.bias"] = bias
-        # Warm prefix-cache entries ride along so cluster workers attach
-        # with the publisher's cache already hot.  They are *excluded*
-        # from the fingerprint (they are derived data, reproducible from
-        # the weights) and tolerated as absent on import.
-        prefix_meta = []
-        for j, (key, array) in enumerate(self.prefix_cache.export()):
-            if len(key) != 3:
-                # Derived entries (post-softmax "probs") are rebuilt on
-                # demand from the logits; only logits are exported.
-                continue
-            column, prefix, n_rows = key
-            arrays[f"prefix.{j}"] = array
-            prefix_meta.append(
-                {
-                    "column": int(column),
-                    "prefix": [[int(c), int(t)] for c, t in prefix],
-                    "n_rows": int(n_rows),
-                    "array": f"prefix.{j}",
-                }
-            )
-        if prefix_meta:
-            meta["prefix"] = prefix_meta
         return meta, arrays
 
     @classmethod
@@ -540,7 +524,7 @@ class MADEPlan:
                     f"{meta['fingerprint']} — the array set does not match the "
                     "plan it claims to be"
                 )
-        plan = cls(
+        return cls(
             vocab_sizes=list(meta["vocab_sizes"]),
             positions=positions,
             embed_widths=list(meta["embed_widths"]),
@@ -552,18 +536,6 @@ class MADEPlan:
             dtype=np.dtype(meta["dtype"]),
             fingerprint=meta["fingerprint"],
         )
-        # Seed the fresh prefix cache from any exported warm entries.
-        for entry in meta.get("prefix", ()):
-            array = arrays.get(entry["array"])
-            if array is None:
-                continue  # partial exports are fine; entries are derived data
-            key = (
-                int(entry["column"]),
-                tuple((int(c), int(t)) for c, t in entry["prefix"]),
-                int(entry["n_rows"]),
-            )
-            plan.prefix_cache.store(key, _frozen_view(array))
-        return plan
 
     # ------------------------------------------------------------------
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
@@ -574,53 +546,27 @@ class MADEPlan:
             )
         return tokens
 
-    def _embed(
-        self,
-        tokens: np.ndarray,
-        wildcard_mask: np.ndarray | None,
-        workspace: Workspace,
-    ) -> np.ndarray:
-        batch = len(tokens)
-        x = workspace.get("embed", (batch, self.input_width), self.dtype)
-        for k in range(self.n_columns):
-            ids = tokens[:, k]
-            if wildcard_mask is not None:
-                ids = np.where(wildcard_mask[:, k], self.vocab_sizes[k], ids)
-            x[:, self._embed_slices[k]] = self.embeddings[k][ids]
-        return x
-
     def _trunk_program(
-        self, workspace: Workspace, batch: int, capacity: int | None = None
+        self, workspace: Workspace, batch: int
     ) -> tuple[list, list, np.ndarray]:
         """Prebound execution steps for a fixed batch size.
 
         Returns ``(embeds, steps, h)``: per-column ``(embedding, view)``
-        gather targets, ufunc calls already bound to their workspace
-        buffers (no per-call buffer resolution or branch checks), and the
-        buffer holding the final activations. The steps are exactly the
-        ops :meth:`_hidden` issues, in the same order on the same
-        buffers, so executing them is bitwise-identical — just without
-        re-dispatching the generic interpreter every forward. Cached per
-        ``(fingerprint, capacity, batch)`` in the workspace alongside the
-        buffers the closures alias.
-
-        ``capacity`` makes the program batch-shape-aware: buffers are
-        allocated at ``(capacity, width)`` and every step binds the
-        leading view ``buf[:batch]``, so grouped batch drivers whose
-        group sizes vary from call to call share one buffer set instead
-        of allocating per distinct group size.  Leading views of
-        C-contiguous buffers are themselves C-contiguous, so the BLAS
-        calls see the same memory layout as exact-size buffers and the
-        results stay bitwise-identical.
+        gather targets, ufunc calls already bound to leading views of
+        the workspace buffers (no per-call buffer resolution or branch
+        checks), and the view holding the final activations.  The steps
+        replay the Module path's ops in the same order on the same
+        dtype, so executing them is bitwise-identical to it.  Cached per
+        ``(fingerprint, batch)`` in the workspace alongside the buffers
+        the closures alias; a buffer that grows drops them all (see
+        :class:`Workspace`).
         """
-        if capacity is None or capacity < batch:
-            capacity = batch
-        key = (self.fingerprint, capacity, batch)
+        key = (self.fingerprint, batch)
         program = workspace._programs.get(key)
         if program is not None:
             return program
 
-        x = workspace.get("embed", (capacity, self.input_width), self.dtype)[:batch]
+        x = workspace.get("embed", (batch, self.input_width), self.dtype)
         embeds = [
             (self.embeddings[k], x[:, self._embed_slices[k]])
             for k in range(self.n_columns)
@@ -629,19 +575,19 @@ class MADEPlan:
         if not self.residual:
             h = x
             for i, (weight, bias) in enumerate(self.trunk):
-                nxt = workspace.get(
-                    f"h{i}", (capacity, weight.shape[1]), self.dtype
-                )[:batch]
+                nxt = workspace.get(f"h{i}", (batch, weight.shape[1]), self.dtype)
                 steps.append(partial(np.matmul, h, weight, out=nxt))
                 if bias is not None:
                     steps.append(partial(np.add, nxt, bias, out=nxt))
                 steps.append(partial(np.maximum, nxt, 0.0, out=nxt))
                 h = nxt
         else:
+            # ResMADE: input layer, then pre-activation residual blocks
+            # (x + W2·relu(W1·relu(x))), then a final relu.
             (w_in, b_in), *blocks = self.trunk
-            h = workspace.get("h", (capacity, self.hidden_width), self.dtype)[:batch]
-            t = workspace.get("t", (capacity, self.hidden_width), self.dtype)[:batch]
-            a = workspace.get("a", (capacity, self.hidden_width), self.dtype)[:batch]
+            h = workspace.get("h", (batch, self.hidden_width), self.dtype)
+            t = workspace.get("t", (batch, self.hidden_width), self.dtype)
+            a = workspace.get("a", (batch, self.hidden_width), self.dtype)
             steps.append(partial(np.matmul, x, w_in, out=h))
             if b_in is not None:
                 steps.append(partial(np.add, h, b_in, out=h))
@@ -665,109 +611,37 @@ class MADEPlan:
         programs[key] = program
         return program
 
-    def _hidden(
-        self,
-        tokens: np.ndarray,
-        wildcard_mask: np.ndarray | None,
-        workspace: Workspace,
-        capacity: int | None = None,
-    ) -> np.ndarray:
-        """Trunk activations up to (excluding) the output projection."""
-        # Every forward funnels through here, so the whole-workspace
-        # dtype pin lives here: it covers the prebound-program hot path
-        # AND the interpreter path in one check.
-        workspace.bind_program_dtype(self.dtype)
-        if wildcard_mask is None:
-            # Hot path (the sampler encodes wildcards in the ids): replay
-            # the identical op sequence from the compiled program.
-            embeds, steps, h = self._trunk_program(workspace, len(tokens), capacity)
-            for k, (embedding, view) in enumerate(embeds):
-                view[:] = embedding[tokens[:, k]]
-            for step in steps:
-                step()
-            return h
-        x = self._embed(tokens, wildcard_mask, workspace)
-        batch = len(x)
-        if not self.residual:
-            h = x
-            for i, (weight, bias) in enumerate(self.trunk):
-                nxt = workspace.get(f"h{i}", (batch, weight.shape[1]), self.dtype)
-                np.matmul(h, weight, out=nxt)
-                if bias is not None:
-                    nxt += bias
-                np.maximum(nxt, 0.0, out=nxt)
-                h = nxt
-            return h
+    def _hidden(self, tokens: np.ndarray, workspace: Workspace) -> np.ndarray:
+        """Trunk activations up to (excluding) the output projection.
 
-        # ResMADE: input layer, then pre-activation residual blocks
-        # (x + W2·relu(W1·relu(x))), then a final relu.
-        (w_in, b_in), *blocks = self.trunk
-        h = workspace.get("h", (batch, self.hidden_width), self.dtype)
-        np.matmul(x, w_in, out=h)
-        if b_in is not None:
-            h += b_in
-        t = workspace.get("t", (batch, self.hidden_width), self.dtype)
-        a = workspace.get("a", (batch, self.hidden_width), self.dtype)
-        for i in range(0, len(blocks), 2):
-            w1, b1 = blocks[i]
-            w2, b2 = blocks[i + 1]
-            np.maximum(h, 0.0, out=t)
-            np.matmul(t, w1, out=a)
-            if b1 is not None:
-                a += b1
-            np.maximum(a, 0.0, out=a)
-            np.matmul(a, w2, out=t)
-            if b2 is not None:
-                t += b2
-            h += t
-        np.maximum(h, 0.0, out=h)
+        Wildcards are encoded in the ids (``vocab_sizes[k]`` in column
+        *k*), which is exactly what the Module path's wildcard mask
+        substitutes.
+        """
+        # Every forward funnels through here, so the whole-workspace
+        # dtype pin lives here.
+        workspace.bind_program_dtype(self.dtype)
+        embeds, steps, h = self._trunk_program(workspace, len(tokens))
+        for k, (embedding, view) in enumerate(embeds):
+            view[:] = embedding[tokens[:, k]]
+        for step in steps:
+            step()
         return h
 
     # ------------------------------------------------------------------
-    def forward_logits(
-        self,
-        tokens: np.ndarray,
-        wildcard_mask: np.ndarray | None = None,
-        out: np.ndarray | None = None,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray:
-        """Logits for every column: ``(batch, sum(vocab_sizes))``.
-
-        Column *k*'s block is ``result[:, plan.output_slices[k]]``.  The
-        returned array is the ``out`` argument when given, otherwise a
-        workspace buffer (valid until the next call on that workspace).
-        """
-        tokens = self._check_tokens(tokens)
-        workspace = workspace if workspace is not None else Workspace()
-        h = self._hidden(tokens, wildcard_mask, workspace)
-        if out is None:
-            out = workspace.get("logits", (len(h), self.total_vocab), self.dtype)
-        elif out.shape != (len(h), self.total_vocab):
-            raise ShapeError(
-                f"out has shape {out.shape}, expected {(len(h), self.total_vocab)}"
-            )
-        np.matmul(h, self.out_weight, out=out)
-        if self.out_bias is not None:
-            out += self.out_bias
-        return out
-
     def forward_slice(
         self,
         column: int,
         tokens: np.ndarray,
-        wildcard_mask: np.ndarray | None = None,
-        out: np.ndarray | None = None,
         workspace: Workspace | None = None,
-        capacity: int | None = None,
         expand: np.ndarray | None = None,
     ) -> np.ndarray:
         """Logits for ``column`` only: ``(batch, vocab_sizes[column])``.
 
         Multiplies just that column's pre-sliced output projection — the
         per-step cost the progressive sampler pays at sampling step *i*.
-        ``capacity`` (>= batch) sizes the workspace buffers so callers
-        issuing varying batch shapes share one allocation (see
-        :meth:`_trunk_program`).
+        The result is a workspace view, valid until the next forward on
+        that workspace.
 
         ``expand`` maps each output row to a row of ``tokens``: the trunk
         runs once per row of ``tokens`` (one row per distinct context),
@@ -781,18 +655,9 @@ class MADEPlan:
         tokens = self._check_tokens(tokens)
         workspace = workspace if workspace is not None else Workspace()
         weight = self._out_weight_cols[column]
-        n_out = len(tokens) if expand is None else len(expand)
-        expected = (n_out, weight.shape[1])
-        if out is None:
-            if capacity is not None and capacity > n_out:
-                out = workspace.get(
-                    "slice", (capacity, weight.shape[1]), self.dtype
-                )[:n_out]
-            else:
-                out = workspace.get("slice", expected, self.dtype)
-        elif out.shape != expected:
-            raise ShapeError(f"out has shape {out.shape}, expected {expected}")
         bias = self._out_bias_cols[column]
+        n_out = len(tokens) if expand is None else len(expand)
+        out = workspace.get("slice", (n_out, weight.shape[1]), self.dtype)
         if self._const_cols[column]:
             # Bias-only column (AR position 0): no trunk pass needed.
             out[:] = 0.0 if bias is None else bias
@@ -802,16 +667,13 @@ class MADEPlan:
                 "expand needs a trunk block of at least 2 rows; a 1-row "
                 "matmul takes gemv and rounds differently from gemm"
             )
-        h = self._hidden(tokens, wildcard_mask, workspace, capacity)
+        h = self._hidden(tokens, workspace)
         if expand is not None:
-            rows = max(n_out, capacity or 0)
             h = np.take(
                 h,
                 expand,
                 axis=0,
-                out=workspace.get(
-                    "expand", (rows, self.hidden_width), self.dtype
-                )[:n_out],
+                out=workspace.get("expand", (n_out, self.hidden_width), self.dtype),
                 mode="clip",  # indices are in range; "raise" would buffer
             )
         np.matmul(h, weight, out=out)
@@ -819,15 +681,14 @@ class MADEPlan:
             out += bias
         return out
 
-    def forward_prefix(
+    def forward_prefix_probs(
         self,
         column: int,
         prefix: tuple,
         n_rows: int,
         workspace: Workspace,
-        capacity: int | None = None,
     ) -> np.ndarray:
-        """:meth:`forward_slice` for a constrained-column prefix, cached.
+        """``softmax(forward_slice(...))`` for a constrained prefix, cached.
 
         ``prefix`` is a tuple of ``(column, token)`` pairs describing an
         input whose listed columns all carry one fixed token and whose
@@ -841,85 +702,37 @@ class MADEPlan:
         its activations expanded to ``n_rows`` rows (``expand``, see
         :meth:`forward_slice`): trunk rows do not depend on the block's
         row count, but a narrow projection does on some BLAS builds, so
-        the entry stays keyed on ``n_rows``.  It parks a frozen copy of
-        the block's one distinct row in the plan's shared
-        :class:`PrefixCache`; later calls — from any workspace, thread,
-        or attached cluster worker — broadcast that row into the slice
-        buffer, skipping the trunk entirely.  Values are bitwise-
-        identical by construction: the cache holds the same forward's
-        own output for the same key.
-
-        Returns a writable buffer (callers run ``softmax_inplace`` on
-        it), like :meth:`forward_slice`.
+        the entry stays keyed on ``n_rows``.  It softmaxes that block in
+        place, parks a frozen copy of its one distinct row in the plan's
+        shared :class:`PrefixCache`, and returns the block (a writable
+        workspace view).  Later calls — from any workspace or thread —
+        return the row broadcast to ``(n_rows, vocab)``, a read-only
+        view, skipping trunk, projection and softmax.  Values are
+        bitwise-identical by construction: the cache holds the same
+        computation's own output for the same key.  Callers treat the
+        result as read-only either way; the sampler only derives fresh
+        arrays from it.
         """
         key = (column, prefix, n_rows)
         cached = self.prefix_cache.lookup(key)
-        if cached is None:
-            # A 1-row request keeps its 1-row (gemv) trunk, as the
-            # Module path runs it.
-            tokens = np.empty((min(n_rows, 2), self.n_columns), dtype=np.int64)
-            tokens[:] = self.wildcard_ids
-            for col, token in prefix:
-                tokens[:, col] = token
-            out = self.forward_slice(
+        if cached is not None:
+            return np.broadcast_to(cached, (n_rows, self.vocab_sizes[column]))
+        # A 1-row request keeps its 1-row (gemv) trunk, as the Module
+        # path runs it.
+        tokens = np.empty((min(n_rows, 2), self.n_columns), dtype=np.int64)
+        tokens[:] = self.wildcard_ids
+        for col, token in prefix:
+            tokens[:, col] = token
+        probs = softmax_inplace(
+            self.forward_slice(
                 column,
                 tokens,
                 workspace=workspace,
-                capacity=capacity,
                 expand=np.zeros(n_rows, dtype=np.intp) if n_rows > 1 else None,
             )
-            self.prefix_cache.store(key, _frozen(_uniform_rows(out), self.dtype))
-            return out
-        vocab = self.vocab_sizes[column]
-        if capacity is not None and capacity > n_rows:
-            out = workspace.get("slice", (capacity, vocab), self.dtype)[:n_rows]
-        else:
-            out = workspace.get("slice", (n_rows, vocab), self.dtype)
-        out[:] = cached
-        return out
-
-    def forward_prefix_probs(
-        self,
-        column: int,
-        prefix: tuple,
-        n_rows: int,
-        workspace: Workspace,
-        capacity: int | None = None,
-    ) -> np.ndarray:
-        """The *softmaxed* :meth:`forward_prefix` conditional, cached.
-
-        The sampler consumes ``softmax_inplace(logits)``, and softmax is
-        a row-wise op — so caching the post-softmax distribution under a
-        ``"probs"``-marked key replays bitwise-identical values while
-        skipping the replay copy *and* the block softmax. Hits return
-        the frozen cached row broadcast to ``(n_rows, vocab)`` (a read-
-        only view, zero copy); callers must treat it as read-only, which
-        the sampler does — it only ever derives fresh arrays from the
-        distribution. Misses route through
-        :meth:`forward_prefix`, so the logits entry is populated too
-        (it is the exportable artifact, see :meth:`to_buffers`).
-        """
-        key = (column, prefix, n_rows, "probs")
-        cached = self.prefix_cache.lookup(key)
-        if cached is not None:
-            return np.broadcast_to(cached, (n_rows, self.vocab_sizes[column]))
-        logits = self.forward_prefix(
-            column, prefix, n_rows, workspace=workspace, capacity=capacity
         )
-        probs = softmax_inplace(logits)
         self.prefix_cache.store(key, _frozen(_uniform_rows(probs), self.dtype))
         return probs
-
-    def forward_slice_wildcard(
-        self, column: int, n_rows: int, workspace: Workspace
-    ) -> np.ndarray:
-        """:meth:`forward_prefix` with the empty prefix (all wildcards).
-
-        Kept as the spelled-out special case; the general machinery —
-        including cross-workspace sharing of the cached logits — lives
-        in :meth:`forward_prefix` / :class:`PrefixCache`.
-        """
-        return self.forward_prefix(column, (), n_rows, workspace)
 
 
 def _layer_arrays(

@@ -3,10 +3,12 @@
 A :class:`~repro.runtime.plan.MADEPlan` is immutable, read-only, and
 content-fingerprinted — exactly the shape of data worth mapping once and
 sharing across a pool of worker processes instead of pickling a copy
-into each.  The generic wire format (magic + JSON header + 64-byte
-aligned arrays, refcounted publisher handle, tracker-suppressed attach)
-lives in :mod:`repro.runtime.shmio`, and this module keeps the
-plan-specific layer:
+into each.
+
+A segment is the 8-byte magic ``IAMPLAN1``, an 8-byte little-endian
+header length, a JSON header (the plan's ``to_buffers()`` meta plus
+name / dtype / shape / offset of every array), then the raw array
+bytes, each start 64-byte aligned.
 
 - :func:`publish_plan` lays the plan's complete array set (via
   ``MADEPlan.to_buffers()``) into ONE named segment.  The returned
@@ -16,6 +18,8 @@ plan-specific layer:
   the plan through ``MADEPlan.from_buffers()`` with ndarray views
   straight into the mapping — zero copy, fingerprint-verified, frozen
   read-only.
+- :func:`leaked_segments` lists the plan segments still linked in
+  ``/dev/shm`` — the benchmark/test leak gate.
 - :class:`PlanPickler` / :class:`PlanUnpickler` pickle an estimator for
   shipment to a worker while externalizing every embedded plan to its
   fingerprint (``persistent_id``) and replacing scratch
@@ -24,8 +28,8 @@ plan-specific layer:
   heavy arrays never transit the pipe.
 
 Lifetime contract: the parent that publishes a segment owns its unlink
-(refcounted, in :class:`~repro.runtime.shmio.Segment`); workers only
-ever ``close`` their mappings.  POSIX keeps the memory alive until the
+(refcounted, in :class:`PlanSegment`); workers only ever ``close``
+their mappings.  POSIX keeps the memory alive until the
 last mapping closes, so a parent-side unlink never pulls pages out from
 under a worker still holding views.
 """
@@ -34,12 +38,15 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import os
 import pickle
-from multiprocessing import shared_memory
+import threading
+from multiprocessing import resource_tracker, shared_memory
+
+import numpy as np
 
 from repro.errors import ConfigError, ServeError
-from repro.runtime import shmio
 from repro.runtime.plan import MADEPlan, Workspace
 
 __all__ = [
@@ -56,7 +63,8 @@ __all__ = [
 ]
 
 _MAGIC = b"IAMPLAN1"
-_ALIGN = shmio.ALIGN  # cache-line alignment for every array start
+_HEADER = len(_MAGIC) + 8  # magic, then the JSON header's byte length
+_ALIGN = 64  # cache-line alignment for every array start
 _PREFIX = "repro-plan"
 
 # Process-global generation counter: several services (or several reload
@@ -73,16 +81,48 @@ def segment_name(fingerprint: str, nonce: int) -> str:
     return f"{_PREFIX}-{fingerprint}-{os.getpid():x}-{nonce:x}"
 
 
+def _align(offset: int) -> int:
+    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
 def leaked_segments() -> list[str]:
     """Plan segments still linked in /dev/shm — the benchmark/test leak gate.
 
     Empty on platforms without a visible shm filesystem, in which case
     the gate degrades to the in-process ``PlanSegment.released`` checks.
     """
-    return shmio.leaked_segments(_PREFIX)
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return []
+    return sorted(name for name in names if name.startswith(_PREFIX))
 
 
-class PlanSegment(shmio.Segment):
+_attach_lock = threading.Lock()
+
+
+def _attach_raw(name: str) -> shared_memory.SharedMemory:
+    """Open an existing segment WITHOUT registering it for cleanup.
+
+    Python 3.8–3.12 register every ``SharedMemory`` with the resource
+    tracker even when merely attaching (bpo-39959), so a worker exit
+    would unlink a segment the publisher still serves from — and workers
+    share one tracker process, whose bookkeeping is a set, so sending
+    compensating ``unregister`` messages from several workers crashes
+    it.  Instead, suppress the registration call for the duration of
+    the attach; the publisher owns the unlink.
+    """
+    with _attach_lock:
+        original = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            segment = shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original
+    return segment
+
+
+class PlanSegment:
     """A published plan: parent-side handle with refcounted unlink.
 
     Created holding one reference (the publisher's).  :meth:`retain`
@@ -92,23 +132,65 @@ class PlanSegment(shmio.Segment):
     past zero; ``released`` tells tests nothing leaked.
     """
 
-    _error = ServeError
-
     def __init__(self, name: str, fingerprint: str, nbytes: int,
                  segment: shared_memory.SharedMemory,
                  dtype: str | None = None):
-        super().__init__(name, nbytes, segment)
+        self.name = name
         self.fingerprint = fingerprint
+        self.nbytes = nbytes
         # The published plan's dtype string (e.g. '<f8' / '<f4'): a
         # float32 tier publishes roughly half the bytes of the float64
         # plan for the same weights, and /models reports both.
         self.dtype = dtype
+        self._segment = segment
+        self._lock = threading.Lock()
+        self._refs = 1
+        self._unlinked = False
+
+    def retain(self) -> "PlanSegment":
+        with self._lock:
+            if self._unlinked:
+                raise ServeError(f"segment {self.name} already unlinked")
+            self._refs += 1
+        return self
+
+    def release(self) -> bool:
+        """Drop one reference; True when this call unlinked the segment."""
+        with self._lock:
+            if self._unlinked:
+                return False
+            self._refs -= 1
+            if self._refs > 0:
+                return False
+            self._unlinked = True
+        self._segment.close()
+        try:
+            self._segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+        return True
+
+    @property
+    def released(self) -> bool:
+        with self._lock:
+            return self._unlinked
+
+    @property
+    def refcount(self) -> int:
+        with self._lock:
+            return self._refs
 
     def describe(self) -> dict:
-        described = super().describe()
-        described["fingerprint"] = self.fingerprint
-        described["dtype"] = self.dtype
-        return described
+        with self._lock:
+            refs, unlinked = self._refs, self._unlinked
+        return {
+            "name": self.name,
+            "nbytes": self.nbytes,
+            "refcount": refs,
+            "unlinked": unlinked,
+            "fingerprint": self.fingerprint,
+            "dtype": self.dtype,
+        }
 
 
 def publish_plan(plan: MADEPlan, nonce: int | None = None) -> PlanSegment:
@@ -120,11 +202,37 @@ def publish_plan(plan: MADEPlan, nonce: int | None = None) -> PlanSegment:
     if nonce is None:
         nonce = next(_NONCES)
     meta, arrays = plan.to_buffers()
-    segment = shmio.publish_segment(
-        segment_name(plan.fingerprint, nonce), _MAGIC, meta, arrays
+    entries = []
+    data_bytes = 0
+    for name, array in arrays.items():
+        if not array.flags.c_contiguous:
+            raise ConfigError(f"segment array {name!r} is not contiguous")
+        data_bytes = _align(data_bytes)
+        entries.append(
+            {
+                "name": name,
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "offset": data_bytes,
+            }
+        )
+        data_bytes += array.nbytes
+    header = json.dumps({"meta": meta, "arrays": entries}).encode("utf-8")
+    data_start = _align(_HEADER + len(header))
+    total = data_start + data_bytes
+
+    segment = shared_memory.SharedMemory(
+        create=True, size=total, name=segment_name(plan.fingerprint, nonce)
     )
-    return PlanSegment(segment.name, plan.fingerprint, segment.nbytes,
-                       segment.mapping, dtype=meta.get("dtype"))
+    buf = segment.buf
+    buf[: len(_MAGIC)] = _MAGIC
+    buf[len(_MAGIC) : _HEADER] = len(header).to_bytes(8, "little")
+    buf[_HEADER : _HEADER + len(header)] = header
+    for entry, array in zip(entries, arrays.values()):
+        start = data_start + entry["offset"]
+        buf[start : start + array.nbytes] = array.tobytes()
+    return PlanSegment(segment.name, plan.fingerprint, total, segment,
+                       dtype=meta.get("dtype"))
 
 
 class PlanAttachment:
@@ -164,12 +272,25 @@ def attach_plan(name: str, verify: bool = True) -> PlanAttachment:
     fingerprint (cheap relative to a worker's lifetime, and the only
     defense against attaching a torn or foreign segment).
     """
+    segment = _attach_raw(name)
+    buf = segment.buf
+    if bytes(buf[: len(_MAGIC)]) != _MAGIC:
+        segment.close()
+        raise ConfigError(f"segment {name!r} is not a published plan")
+    header_len = int.from_bytes(bytes(buf[len(_MAGIC) : _HEADER]), "little")
+    header = json.loads(bytes(buf[_HEADER : _HEADER + header_len]))
+    data_start = _align(_HEADER + header_len)
+    arrays = {
+        entry["name"]: np.frombuffer(
+            buf,
+            dtype=np.dtype(entry["dtype"]),
+            count=int(np.prod(entry["shape"], dtype=np.int64)),
+            offset=data_start + entry["offset"],
+        ).reshape(entry["shape"])
+        for entry in header["arrays"]
+    }
     try:
-        meta, arrays, segment = shmio.map_segment(name, _MAGIC)
-    except ConfigError:
-        raise ConfigError(f"segment {name!r} is not a published plan") from None
-    try:
-        plan = MADEPlan.from_buffers(meta, arrays, verify=verify)
+        plan = MADEPlan.from_buffers(header["meta"], arrays, verify=verify)
     except Exception:
         del arrays  # release the buffer exports before closing
         segment.close()

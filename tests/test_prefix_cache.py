@@ -1,12 +1,13 @@
-"""PrefixCache: the shared constrained-prefix logits cache behind
+"""PrefixCache: the shared constrained-prefix conditional cache behind
 cross-query batch sampling (docs/runtime.md).
 
-Covers the bounded-FIFO contract, hit/miss/eviction accounting across
-workspaces (i.e. across queries and threads), read-only freezing of
-stored entries, warm seeding through the plan export path (to_buffers /
-from_buffers and the shared-memory publish/attach used by cluster
-workers), and invalidation on hot reload — the "one cache per plan"
-rule that keeps stale logits from outliving a weight snapshot.
+Covers the bounded-FIFO contract, one entry per context with hit/miss/
+eviction accounting across workspaces (i.e. across queries and
+threads), read-only freezing of stored entries, a cold cache after the
+plan export path (to_buffers / from_buffers and the shared-memory
+publish/attach used by cluster workers), and invalidation on hot
+reload — the "one cache per plan" rule that keeps stale entries from
+outliving a weight snapshot.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.core.persistence import save_iam
+from repro.ar.progressive import ProgressiveSampler
 from repro.runtime import MADEPlan, Workspace, compile_made
 from repro.runtime.plan import PrefixCache, softmax_inplace
 from repro.serve import EstimationService, ServeConfig
+from repro.utils.rng import ensure_rng
 
-from tests.test_runtime import VOCABS, make_model
+from tests.test_runtime import VOCABS, make_model, toy_constraints
 
 
 @pytest.fixture()
@@ -94,7 +97,7 @@ class TestPrefixCacheUnit:
 
 
 # ----------------------------------------------------------------------
-# Plan integration: forward_prefix correctness + cross-workspace reuse
+# Plan integration: forward_prefix_probs correctness + cross-workspace reuse
 # ----------------------------------------------------------------------
 class TestForwardPrefix:
     def _reference(self, plan, column, prefix, n_rows, workspace):
@@ -102,18 +105,21 @@ class TestForwardPrefix:
         tokens[:] = plan.wildcard_ids
         for col, token in prefix:
             tokens[:, col] = token
-        return plan.forward_slice(column, tokens, workspace=workspace).copy()
+        return softmax_inplace(
+            plan.forward_slice(column, tokens, workspace=workspace).copy()
+        )
 
     @pytest.mark.parametrize("prefix", [(), ((0, 3),), ((0, 2), (1, 4))])
     def test_miss_then_hit_bitwise(self, plan, prefix):
         column = len(prefix)
         expected = self._reference(plan, column, prefix, 16, Workspace())
-        miss = plan.forward_prefix(column, prefix, 16, Workspace()).copy()
-        hit = plan.forward_prefix(column, prefix, 16, Workspace()).copy()
+        miss = plan.forward_prefix_probs(column, prefix, 16, Workspace()).copy()
+        hit = plan.forward_prefix_probs(column, prefix, 16, Workspace()).copy()
         assert np.array_equal(miss, expected)
         assert np.array_equal(hit, expected)
         stats = plan.prefix_cache.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats["entries"] == 1  # one entry per context
 
     def test_cross_workspace_reuse_counts_hits(self, plan):
         # One miss fills the cache; every later query/thread/workspace
@@ -121,7 +127,7 @@ class TestForwardPrefix:
         # grouped driver banks on.
         workspaces = [Workspace() for _ in range(4)]
         results = [
-            plan.forward_prefix(0, (), 32, ws).copy() for ws in workspaces
+            plan.forward_prefix_probs(0, (), 32, ws).copy() for ws in workspaces
         ]
         for got in results[1:]:
             assert np.array_equal(got, results[0])
@@ -131,19 +137,10 @@ class TestForwardPrefix:
         assert stats["entries"] == 1
 
     def test_distinct_row_counts_are_distinct_entries(self, plan):
-        plan.forward_prefix(0, (), 8, Workspace())
-        plan.forward_prefix(0, (), 16, Workspace())
+        plan.forward_prefix_probs(0, (), 8, Workspace())
+        plan.forward_prefix_probs(0, (), 16, Workspace())
         assert len(plan.prefix_cache) == 2
         assert plan.prefix_cache.stats()["misses"] == 2
-
-    def test_hit_respects_capacity_sized_buffers(self, plan):
-        # The grouped sampler hands every group the same capacity-sized
-        # workspace; a replayed hit must land in a leading view of it.
-        ws = Workspace()
-        miss = plan.forward_prefix(1, ((0, 2),), 8, ws, capacity=64).copy()
-        hit = plan.forward_prefix(1, ((0, 2),), 8, ws, capacity=64)
-        assert hit.shape == (8, plan.vocab_sizes[1])
-        assert np.array_equal(hit, miss)
 
     def test_miss_runs_the_trunk_on_two_rows(self, plan, monkeypatch):
         # Every row of a prefix context is the same: the trunk runs on
@@ -158,15 +155,17 @@ class TestForwardPrefix:
 
         monkeypatch.setattr(MADEPlan, "_hidden", spy)
         first, column = plan.ar_order()[:2]
-        out = plan.forward_prefix(column, ((first, 3),), 512, Workspace())
+        out = plan.forward_prefix_probs(column, ((first, 3),), 512, Workspace())
         assert seen == [2]
         assert out.shape == (512, plan.vocab_sizes[column])
 
     def test_returned_buffer_is_writable_and_cache_is_not_aliased(self, plan):
-        out = plan.forward_prefix(0, (), 8, Workspace())
+        column = plan.ar_order()[1]  # runs the trunk
+        out = plan.forward_prefix_probs(column, (), 8, Workspace())  # miss
         baseline = out.copy()
-        out[:] = -1.0  # callers run softmax_inplace on the result
-        replay = plan.forward_prefix(0, (), 8, Workspace())
+        out[:] = -1.0  # the miss hands back workspace scratch
+        replay = plan.forward_prefix_probs(column, (), 8, Workspace())
+        assert not replay.flags.writeable
         assert np.array_equal(replay, baseline)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -179,72 +178,76 @@ class TestForwardPrefix:
             tokens[:] = plan.wildcard_ids
             for col, token in prefix:
                 tokens[:, col] = token
-            logits = plan.forward_slice(column, tokens, workspace=Workspace()).copy()
-            probs = softmax_inplace(logits.copy())
+            probs = softmax_inplace(
+                plan.forward_slice(column, tokens, workspace=Workspace()).copy()
+            )
 
-            plan.forward_prefix_probs(column, prefix, n_rows, Workspace())  # miss
-            replay = plan.forward_prefix(column, prefix, n_rows, Workspace())
+            miss = plan.forward_prefix_probs(column, prefix, n_rows, Workspace())
+            assert miss.dtype == dtype and np.array_equal(miss, probs)
             probs_hit = plan.forward_prefix_probs(column, prefix, n_rows, Workspace())
 
-            assert replay.dtype == dtype and np.array_equal(replay, logits)
             assert probs_hit.shape == (n_rows, vocab)
             assert not probs_hit.flags.writeable
             assert probs_hit.dtype == dtype and np.array_equal(probs_hit, probs)
-        for _, entry in plan.prefix_cache.export():
+        for entry in plan.prefix_cache._entries.values():
             assert entry.shape[0] == 1
 
 
 # ----------------------------------------------------------------------
-# Warm export: to_buffers / from_buffers and shm publish → attach
+# Exporting a warm plan: to_buffers / from_buffers and shm publish → attach
 # ----------------------------------------------------------------------
 class TestWarmExport:
-    def _warm(self, plan) -> dict:
-        ws = Workspace()
-        plan.forward_prefix(0, (), 16, ws)
-        plan.forward_prefix(1, ((0, 3),), 16, ws)
-        return dict(plan.prefix_cache.export())
+    """Entries are derived data outside the fingerprint, so no export
+    carries them: a rebuilt or attached plan starts cold and rebuilds
+    the same entries on first use."""
 
-    def test_buffers_roundtrip_seeds_cache(self, plan):
-        warm = self._warm(plan)
+    def _warm(self, plan) -> None:
+        ws = Workspace()
+        plan.forward_prefix_probs(0, (), 16, ws)
+        plan.forward_prefix_probs(1, ((0, 3),), 16, ws)
+        assert len(plan.prefix_cache) == 2
+
+    def test_buffers_roundtrip_starts_cold(self, plan):
+        queries = [toy_constraints(1), toy_constraints(None)]
+
+        def answers(p):
+            sampler = ProgressiveSampler(p, n_samples=64, seed=4)
+            return sampler.sample_weights(queries, rngs=[ensure_rng(3), ensure_rng(5)])
+
+        expected = answers(plan)  # warms the plan on these very contexts
+        assert len(plan.prefix_cache) > 0
         meta, arrays = plan.to_buffers()
+        assert "prefix" not in meta
+        assert not any(name.startswith("prefix.") for name in arrays)
         clone = MADEPlan.from_buffers(
             meta, {k: v.copy() for k, v in arrays.items()}
         )
-        seeded = dict(clone.prefix_cache.export())
-        assert seeded.keys() == warm.keys()
-        for key, array in warm.items():
-            assert np.array_equal(seeded[key], array)
-        # Counters start fresh on the clone; the warm entries hit.
-        assert clone.prefix_cache.stats()["misses"] == 0
-        got = clone.forward_prefix(0, (), 16, Workspace())
-        assert np.array_equal(got, np.broadcast_to(warm[(0, (), 16)], got.shape))
-        assert clone.prefix_cache.stats()["hits"] == 1
+        assert len(clone.prefix_cache) == 0
+        assert np.array_equal(answers(clone), expected)  # rebuilt entries
+        assert np.array_equal(answers(plan), expected)  # warm entries
 
     def test_cold_plan_roundtrip_has_no_prefix_meta(self, plan):
         meta, arrays = plan.to_buffers()
         assert "prefix" not in meta
         assert not any(name.startswith("prefix.") for name in arrays)
 
-    def test_shm_publish_attach_is_warm(self, plan):
+    def test_shm_publish_attach_is_cold(self, plan):
         shm = pytest.importorskip("repro.serve.cluster.shm")
-        warm = self._warm(plan)
+        self._warm(plan)
+        warm = plan.forward_prefix_probs(1, ((0, 3),), 16, Workspace())  # a hit
         segment = shm.publish_plan(plan)
         try:
             attachment = shm.attach_plan(segment.name)
             try:
                 attached = attachment.plan
                 assert attached.fingerprint == plan.fingerprint
-                seeded = dict(attached.prefix_cache.export())
-                assert seeded.keys() == warm.keys()
-                for key, array in warm.items():
-                    assert np.array_equal(seeded[key], array)
-                # Workers serve straight from the warm entries.
-                got = attached.forward_prefix(1, ((0, 3),), 16, Workspace())
-                entry = warm[(1, ((0, 3),), 16)]
-                assert np.array_equal(got, np.broadcast_to(entry, got.shape))
-                assert attached.prefix_cache.stats()["misses"] == 0
+                assert len(attached.prefix_cache) == 0
+                # Workers rebuild the entry on first use, same bits.
+                got = attached.forward_prefix_probs(1, ((0, 3),), 16, Workspace())
+                assert np.array_equal(got, warm)
+                assert attached.prefix_cache.stats()["misses"] == 1
             finally:
-                del attached, seeded, got, array
+                del attached, got
                 attachment.close()
         finally:
             segment.release()
@@ -257,7 +260,7 @@ class TestInvalidation:
     def test_recompile_installs_fresh_cache(self):
         made = make_model("made")
         first = compile_made(made)
-        first.forward_prefix(0, (), 8, Workspace())
+        first.forward_prefix_probs(0, (), 8, Workspace())
         second = compile_made(made)
         assert second.prefix_cache is not first.prefix_cache
         assert len(second.prefix_cache) == 0

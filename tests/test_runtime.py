@@ -28,7 +28,13 @@ from repro.query.query import Query
 from repro.reducers.base import DomainReducer
 from repro.reducers.identity import IdentityReducer
 from repro.reducers.nullable import NullableReducer
-from repro.runtime import MADEPlan, RangeMassCache, Workspace, compile_made
+from repro.runtime import (
+    MADEPlan,
+    RangeMassCache,
+    Workspace,
+    compile_made,
+    softmax_inplace,
+)
 from repro.serve import EstimationService, ServeConfig
 from repro.utils.rng import ensure_rng
 
@@ -46,11 +52,9 @@ def random_inputs(n_rows: int, seed: int, wildcard_p: float = 0.3):
     return tokens, wildcard
 
 
-def module_logits(made, tokens, wildcard):
-    from repro.autodiff.tensor import no_grad
-
-    with no_grad():
-        return made.output_layer(made._hidden(made._embed(tokens, wildcard))).numpy()
+def encode(plan, tokens, wildcard):
+    """Wildcards encoded in the ids, as the plan (and sampler) take them."""
+    return np.where(wildcard, plan.wildcard_ids, tokens)
 
 
 def module_slice(made, col, tokens, wildcard):
@@ -69,18 +73,20 @@ class TestMADEPlan:
     @pytest.mark.parametrize("arch", ["made", "resmade"])
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_forward_logits_bitwise(self, arch, batch):
+        """Every column's logits, with and without wildcards."""
         made = make_model(arch)
         plan = compile_made(made)
         tokens, wildcard = random_inputs(batch, seed=batch)
-        assert np.array_equal(
-            module_logits(made, tokens, wildcard),
-            plan.forward_logits(tokens, wildcard),
-        )
-        # no wildcard mask at all
-        assert np.array_equal(
-            module_logits(made, tokens, None),
-            plan.forward_logits(tokens, None),
-        )
+        for col in range(len(VOCABS)):
+            assert np.array_equal(
+                module_slice(made, col, tokens, wildcard),
+                plan.forward_slice(col, encode(plan, tokens, wildcard)),
+            )
+            # no wildcard at all
+            assert np.array_equal(
+                module_slice(made, col, tokens, None),
+                plan.forward_slice(col, tokens),
+            )
 
     @pytest.mark.parametrize("arch", ["made", "resmade"])
     def test_forward_slice_bitwise_per_column(self, arch):
@@ -88,7 +94,7 @@ class TestMADEPlan:
         plan = compile_made(made)
         tokens, wildcard = random_inputs(32, seed=1)
         for col in range(len(VOCABS)):
-            got = plan.forward_slice(col, tokens, wildcard)
+            got = plan.forward_slice(col, encode(plan, tokens, wildcard))
             assert got.shape == (32, VOCABS[col])
             assert np.array_equal(module_slice(made, col, tokens, wildcard), got)
 
@@ -135,10 +141,11 @@ class TestMADEPlan:
         assert rebuilt.fingerprint == plan.fingerprint
         assert rebuilt.out_weight is arrays["out_weight"]
         tokens, wildcard = random_inputs(16, seed=9)
-        assert np.array_equal(
-            plan.forward_logits(tokens, wildcard),
-            rebuilt.forward_logits(tokens, wildcard),
-        )
+        tokens = encode(plan, tokens, wildcard)
+        for col in range(len(VOCABS)):
+            assert np.array_equal(
+                plan.forward_slice(col, tokens), rebuilt.forward_slice(col, tokens)
+            )
 
     def test_from_buffers_verifies_fingerprint(self):
         made = make_model("made")
@@ -164,10 +171,11 @@ class TestMADEPlan:
         plan = compile_made(made)
         ws = Workspace()
         tokens, wildcard = random_inputs(16, seed=2)
-        first = plan.forward_slice(1, tokens, wildcard, workspace=ws)
+        tokens = encode(plan, tokens, wildcard)
+        first = plan.forward_slice(1, tokens, workspace=ws)
         buffers = len(ws)
-        second = plan.forward_slice(1, tokens, wildcard, workspace=ws)
-        assert second is first  # same preallocated buffer, no growth
+        second = plan.forward_slice(1, tokens, workspace=ws)
+        assert np.shares_memory(second, first)  # same buffer, no growth
         assert len(ws) == buffers
         assert ws.nbytes > 0
         ws.clear()
@@ -177,25 +185,18 @@ class TestMADEPlan:
         plan = compile_made(make_model("resmade"))
         tokens, _ = random_inputs(Workspace.MAX_PROGRAMS + 20, seed=5)
         ws = Workspace()
+        plan.forward_slice(1, tokens, workspace=ws)  # buffers at their largest
         for batch in range(2, len(tokens) + 1):
-            plan.forward_slice(1, tokens[:batch], workspace=ws, capacity=len(tokens))
+            plan.forward_slice(1, tokens[:batch], workspace=ws)
         assert len(ws._programs) == Workspace.MAX_PROGRAMS
         # An evicted program is rebuilt on the same buffers, same bits.
-        again = plan.forward_slice(1, tokens[:2], workspace=ws, capacity=len(tokens))
+        again = plan.forward_slice(1, tokens[:2], workspace=ws)
         assert np.array_equal(again, plan.forward_slice(1, tokens[:2]))
 
-    def test_out_argument_and_shape_validation(self):
+    def test_token_shape_validation(self):
         plan = compile_made(make_model("made"))
-        tokens, wildcard = random_inputs(8, seed=3)
-        out = np.empty((8, sum(VOCABS)))
-        got = plan.forward_logits(tokens, wildcard, out=out)
-        assert got is out
-        with pytest.raises(ShapeError):
-            plan.forward_logits(tokens, wildcard, out=np.empty((8, 3)))
-        with pytest.raises(ShapeError):
-            plan.forward_slice(0, tokens, wildcard, out=np.empty((8, 999)))
         with pytest.raises(ConfigError):
-            plan.forward_logits(np.zeros((8, 2), dtype=np.int64))
+            plan.forward_slice(0, np.zeros((8, 2), dtype=np.int64))
 
     def test_compile_rejects_non_made(self):
         with pytest.raises(ConfigError):
@@ -206,23 +207,29 @@ class TestMADEPlan:
         plan = compile_made(made, dtype=np.float32)
         assert plan.dtype == np.float32
         tokens, wildcard = random_inputs(16, seed=4)
-        logits = plan.forward_logits(tokens, wildcard)
-        assert logits.dtype == np.float32
-        np.testing.assert_allclose(
-            logits, module_logits(made, tokens, wildcard), rtol=1e-4, atol=1e-4
-        )
+        for col in range(len(VOCABS)):
+            logits = plan.forward_slice(col, encode(plan, tokens, wildcard))
+            assert logits.dtype == np.float32
+            np.testing.assert_allclose(
+                logits, module_slice(made, col, tokens, wildcard), rtol=1e-4, atol=1e-4
+            )
 
     def test_plan_is_shareable_across_threads(self):
         plan = compile_made(make_model("resmade"))
         tokens, wildcard = random_inputs(32, seed=5)
-        reference = plan.forward_logits(tokens, wildcard).copy()
+        tokens = encode(plan, tokens, wildcard)
+        columns = range(len(VOCABS))
+        reference = [plan.forward_slice(col, tokens).copy() for col in columns]
         results = {}
 
         def worker(i):
             ws = Workspace()  # one workspace per thread, per the contract
             for _ in range(5):
-                out = plan.forward_logits(tokens, wildcard, workspace=ws)
-            results[i] = out.copy()
+                out = [
+                    plan.forward_slice(col, tokens, workspace=ws).copy()
+                    for col in columns
+                ]
+            results[i] = out
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
         for t in threads:
@@ -230,7 +237,8 @@ class TestMADEPlan:
         for t in threads:
             t.join()
         for out in results.values():
-            assert np.array_equal(out, reference)
+            for got, want in zip(out, reference):
+                assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +275,12 @@ class TestRowIndependence:
     def test_trunk_rows_do_not_depend_on_block(self, arch, dtype):
         plan = compile_made(make_model(arch), dtype=dtype)
         tokens = self._tokens()
-        full = plan._hidden(tokens, None, Workspace()).copy()
+        ws = Workspace()
+        full = plan._hidden(tokens, ws).copy()
         rng = np.random.default_rng(9)
         for size in (2, 3, 5, 17, 64, 200, 897, 1024, 2047):
             rows = rng.choice(self.N_ROWS, size=size, replace=False)
-            part = plan._hidden(tokens[rows], None, Workspace(), self.N_ROWS)
+            part = plan._hidden(tokens[rows], ws)  # leading views, full-size buffers
             assert np.array_equal(part, full[rows]), size
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -464,6 +473,16 @@ class TestSamplerEquivalence:
         assert resolved64.dtype == np.float64
         np.testing.assert_array_equal(resolved32, resolved64.astype(np.float32))
 
+    @pytest.mark.parametrize(
+        "per_sample",
+        [None, lambda tokens: np.ones((len(tokens), 3))],
+        ids=["static", "per_sample"],
+    )
+    def test_resolve_mass_rejects_wrong_size(self, per_sample):
+        constraint = SlotConstraint(mass=np.ones(4), per_sample=per_sample)
+        with pytest.raises(ConfigError):
+            constraint.resolve_mass(np.zeros((4, 2), dtype=np.int64), 3)
+
     def test_float32_sampler_runs_in_float32(self):
         made = make_model("resmade")
         plan = compile_made(made, dtype=np.float32)
@@ -471,6 +490,62 @@ class TestSamplerEquivalence:
         assert sampler.dtype == np.float32
         weights = sampler.sample_weights([toy_constraints()])
         assert weights.dtype == np.float32
+
+
+class TestWorkspaceGrowth:
+    """One buffer per (tag, trailing shape, dtype), grown to the largest
+    block: a sampler's scratch depends on its largest call, not on how
+    many differently sized calls came before it."""
+
+    N_SAMPLES = 512
+
+    @pytest.fixture(scope="class")
+    def made(self):
+        return build_made(
+            [30] * 6, arch="resmade", hidden_sizes=(128, 128, 128), seed=3
+        )
+
+    @staticmethod
+    def _queries(n_queries: int) -> list:
+        # One signature (columns 0, 2, 3, 5), so k queries form one group
+        # of k * N_SAMPLES rows.
+        rng = np.random.default_rng(21)
+        queries = []
+        for _ in range(n_queries):
+            constraints: list = [None] * 6
+            for column in (0, 2, 3, 5):
+                lo = int(rng.integers(0, 20))
+                mass = np.zeros(30)
+                mass[lo : lo + int(rng.integers(3, 10))] = 1.0
+                constraints[column] = SlotConstraint(mass=mass)
+            queries.append(constraints)
+        return queries
+
+    def _run(self, sampler, n_queries: int) -> np.ndarray:
+        return sampler.sample_weights(
+            self._queries(n_queries),
+            rngs=[ensure_rng(100 + i) for i in range(n_queries)],
+        )
+
+    def test_groups_of_one_to_eight_hold_one_buffer_set(self, made):
+        grown = ProgressiveSampler(made, n_samples=self.N_SAMPLES, seed=0)
+        for n_queries in range(1, 9):
+            self._run(grown, n_queries)
+        fresh = ProgressiveSampler(made, n_samples=self.N_SAMPLES, seed=0)
+        self._run(fresh, 8)
+        assert grown._workspace.nbytes == fresh._workspace.nbytes
+        assert len(grown._workspace) == len(fresh._workspace)
+
+    def test_smaller_call_reuses_grown_buffers_bitwise(self, made):
+        sampler = ProgressiveSampler(made, n_samples=self.N_SAMPLES, seed=0)
+        self._run(sampler, 8)
+        buffers = dict(sampler._workspace._buffers)
+        small = self._run(sampler, 3)
+        assert sampler._workspace._buffers.keys() == buffers.keys()
+        for key, buffer in buffers.items():
+            assert sampler._workspace._buffers[key] is buffer, key
+        fresh = ProgressiveSampler(made, n_samples=self.N_SAMPLES, seed=0)
+        assert np.array_equal(small, self._run(fresh, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -594,18 +669,20 @@ class TestWildcardContextMemo:
         tokens = np.empty((n_rows, plan.n_columns), dtype=np.int64)
         tokens[:] = plan.wildcard_ids
         for column in plan.ar_order():
-            direct = plan.forward_slice(column, tokens, workspace=Workspace()).copy()
-            first = plan.forward_slice_wildcard(column, n_rows, workspace).copy()
+            direct = softmax_inplace(
+                plan.forward_slice(column, tokens, workspace=Workspace()).copy()
+            )
+            first = plan.forward_prefix_probs(column, (), n_rows, workspace).copy()
             assert np.array_equal(first, direct)
             # Second call replays the cache — corrupt the scratch buffers
             # first to prove the trunk is not rerun.
             for buffer in workspace._buffers.values():
                 if buffer.dtype == plan.dtype:
                     buffer.fill(np.nan)
-            again = plan.forward_slice_wildcard(column, n_rows, workspace)
+            again = plan.forward_prefix_probs(column, (), n_rows, workspace)
             assert np.array_equal(again, direct)
-        # One all-wildcard entry per column, now in the plan-owned
-        # shared PrefixCache rather than the per-workspace memo dict.
+        # One all-wildcard entry per column, in the plan-owned shared
+        # PrefixCache.
         assert len(plan.prefix_cache) == plan.n_columns
         stats = plan.prefix_cache.stats()
         assert stats["misses"] == plan.n_columns
@@ -616,20 +693,9 @@ class TestWildcardContextMemo:
         sampler = ProgressiveSampler(made, n_samples=32, seed=3)
         constraints = toy_constraints(wildcard_col=None)
         sampler.estimate_batch([constraints], rngs=[ensure_rng(5)])
-        wildcard_keys = [
-            k
-            for k in dict(sampler.plan.prefix_cache.export())
-            if len(k) == 3 and k[1] == ()
-        ]
-        # The first sampled column's all-wildcard context is cached
-        # (once as logits, plus a derived post-softmax "probs" entry).
+        wildcard_keys = [k for k in sampler.plan.prefix_cache._entries if k[1] == ()]
+        # The first sampled column's all-wildcard context is cached, once.
         assert len(wildcard_keys) == 1
-        probs_keys = [
-            k
-            for k in dict(sampler.plan.prefix_cache.export())
-            if len(k) == 4 and k[1] == ()
-        ]
-        assert len(probs_keys) == 1
         # And the cached path stays bitwise-equal to the Module backend.
         module = ProgressiveSampler(made, n_samples=32, seed=3, use_plan=False)
         a = sampler.estimate_batch([constraints], rngs=[ensure_rng(5)])
@@ -828,14 +894,16 @@ class TestPrecisionTiers:
         plan32 = compile_made(made, dtype=np.float32)
         ws = Workspace()
         tokens, wildcard = random_inputs(8, seed=6)
-        plan64.forward_logits(tokens, wildcard, workspace=ws)
+        tokens = encode(plan64, tokens, wildcard)
+        col = plan64.ar_order()[-1]  # runs the trunk (not the bias-only column)
+        plan64.forward_slice(col, tokens, workspace=ws)
         with pytest.raises(CompileError):
-            plan32.forward_logits(tokens, wildcard, workspace=ws)
+            plan32.forward_slice(col, tokens, workspace=ws)
         ws.clear()  # clearing unpins the workspace for the other tier
-        out = plan32.forward_logits(tokens, wildcard, workspace=ws)
+        out = plan32.forward_slice(col, tokens, workspace=ws)
         assert out.dtype == np.float32
         with pytest.raises(CompileError):
-            plan64.forward_logits(tokens, wildcard, workspace=ws)
+            plan64.forward_slice(col, tokens, workspace=ws)
 
     def test_prefix_cache_pinned_to_plan_dtype(self):
         from repro.runtime.plan import PrefixCache
@@ -867,7 +935,7 @@ class TestPrecisionTiers:
                     plans[label], n_samples=32, seed=3
                 ).sample_weights(queries)
             for label, want in (("f64", np.float64), ("f32", np.float32)):
-                for _, array in plans[label].prefix_cache.export():
+                for array in plans[label].prefix_cache._entries.values():
                     assert array.dtype == want
             return answers
 

@@ -98,8 +98,6 @@ class TestSharedPlanSegments:
         from repro.runtime import compile_made
 
         made = iam_estimator.model.model
-        # Fresh plans for both tiers: cold prefix caches, so the byte
-        # ratio compares weights alone (a warm f64 cache would skew it).
         plan64 = compile_made(made)
         plan32 = compile_made(made, dtype=np.float32)
         seg64 = publish_plan(plan64, nonce=911)
@@ -117,9 +115,11 @@ class TestSharedPlanSegments:
                 tokens = np.column_stack(
                     [rng.integers(0, v, size=16) for v in plan32.vocab_sizes]
                 )
-                assert np.array_equal(
-                    shared.forward_logits(tokens), plan32.forward_logits(tokens)
-                )
+                for column in range(plan32.n_columns):
+                    assert np.array_equal(
+                        shared.forward_slice(column, tokens),
+                        plan32.forward_slice(column, tokens),
+                    )
             finally:
                 del shared
                 attachment.close()
