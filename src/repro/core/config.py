@@ -106,9 +106,14 @@ class IAMConfig:
             raise ConfigError("wildcard_probability must be in [0, 1]")
         if self.train_backend not in ("compiled", "eager"):
             raise ConfigError(f"unknown train_backend {self.train_backend!r}")
-        if self.inference_precision not in ("float64", "float32"):
-            raise ConfigError(
-                f"unknown inference_precision {self.inference_precision!r} "
-                "(expected 'float64' or 'float32')"
-            )
+        validate_precision(self.inference_precision)
         self.hidden_sizes = tuple(self.hidden_sizes)
+
+
+def validate_precision(precision: str) -> None:
+    """Reject an unknown ``inference_precision`` tier."""
+    if precision not in ("float64", "float32"):
+        raise ConfigError(
+            f"unknown inference_precision {precision!r} "
+            "(expected 'float64' or 'float32')"
+        )

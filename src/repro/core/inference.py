@@ -122,23 +122,17 @@ class IAMInference:
         reducers: Sequence[DomainReducer],
         sampler: ProgressiveSampler,
         bias_correction: bool = True,
-        mass_cache: RangeMassCache | None = None,
     ):
         self.table = table
         self.reducers = list(reducers)
         self.sampler = sampler
         self.bias_correction = bias_correction
-        if mass_cache is None:
-            # The cache serves masses in the sampler's precision tier so
-            # the grouped loop never promotes back to float64 mid-query.
-            mass_cache = RangeMassCache(
-                {c.name: r for c, r in zip(table.columns, self.reducers)},
-                dtype=sampler.dtype,
-            )
-        self.mass_cache = mass_cache
-
-    def estimate(self, query: Query, rng: np.random.Generator | None = None) -> float:
-        return float(self.estimate_batch([query], rngs=None if rng is None else [rng])[0])
+        # The cache serves masses in the sampler's precision tier so
+        # the grouped loop never promotes back to float64 mid-query.
+        self.mass_cache = RangeMassCache(
+            {c.name: r for c, r in zip(table.columns, self.reducers)},
+            dtype=sampler.dtype,
+        )
 
     def estimate_batch(
         self,
@@ -155,9 +149,6 @@ class IAMInference:
         """
         constraints = self._constraints_for_batch(queries)
         return self.sampler.estimate_batch(constraints, rngs=rngs)
-
-    def _constraints_for(self, query: Query) -> list[SlotConstraint | None]:
-        return self._constraints_for_batch([query])[0]
 
     def _constraints_for_batch(
         self, queries: Sequence[Query]

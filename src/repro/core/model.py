@@ -27,11 +27,11 @@ import numpy as np
 from repro.ar.made import MADE, build_made
 from repro.ar.order import heuristic_order, identity_order, random_order
 from repro.ar.progressive import ProgressiveSampler
-from repro.core.config import IAMConfig
+from repro.core.config import IAMConfig, validate_precision
 from repro.core.inference import IAMInference, build_constraints
 from repro.core.training import JointTrainer
 from repro.data.table import Table
-from repro.errors import ConfigError, NotFittedError
+from repro.errors import NotFittedError
 from repro.metrics import clamp_selectivity
 from repro.query.query import Query
 from repro.reducers import (
@@ -111,7 +111,6 @@ class IAM:
 
         self.reducers = []
         gmm_modules: dict[int, object] = {}
-        raw_columns: dict[int, np.ndarray] = {}
         static_tokens = np.zeros((table.num_rows, table.num_columns), dtype=np.int64)
 
         for k, column in enumerate(table.columns):
@@ -121,7 +120,6 @@ class IAM:
                     values = column.values.astype(np.float64)
                     module = reducer.initialise(values)
                     gmm_modules[k] = module
-                    raw_columns[k] = values
                     # Initial assignments; re-derived per batch in training.
                     static_tokens[:, k] = module.assign_numpy(values)
                 else:
@@ -133,17 +131,10 @@ class IAM:
                 static_tokens[:, k] = reducer.fit_transform(column.values)
             self.reducers.append(reducer)
 
-        vocab_sizes = self._planned_vocab_sizes()
-        order = self._build_order(vocab_sizes)
-        self.model = build_made(
-            vocab_sizes,
-            arch=cfg.arch,
-            hidden_sizes=cfg.hidden_sizes,
-            embed_dim=cfg.embed_dim,
-            order=order,
-            seed=rng_streams[-1],
-        )
+        vocab_sizes = [reducer.n_tokens for reducer in self.reducers]
+        self.model = self._build_made(vocab_sizes, seed=rng_streams[-1])
 
+        raw_columns = {k: self.reducers[k].fit_values for k in gmm_modules}
         trainer = JointTrainer(self.model, gmm_modules, raw_columns, static_tokens, cfg)
         # Kept so the fit can be inspected: TestJointTrainerBitwise
         # (tests/test_train_runtime.py) reads its GMMs and executor.
@@ -160,15 +151,6 @@ class IAM:
         self._refresh_inference()
         return self
 
-    def _planned_vocab_sizes(self) -> list[int]:
-        sizes = []
-        for reducer in self.reducers:
-            if isinstance(reducer, GMMReducer) and reducer.module is not None:
-                sizes.append(reducer.module.n_components)
-            else:
-                sizes.append(reducer.n_tokens)
-        return sizes
-
     def _build_order(self, vocab_sizes: list[int]) -> np.ndarray:
         if self.config.order == "natural":
             return identity_order(len(vocab_sizes))
@@ -176,37 +158,41 @@ class IAM:
             return random_order(len(vocab_sizes), seed=self.config.seed)
         return heuristic_order(vocab_sizes)
 
-    def _refresh_inference(self, finalise: bool = True) -> None:
+    def _build_made(self, vocab_sizes: list[int], seed) -> MADE:
+        """The configured AR network over ``vocab_sizes`` (fit and load)."""
+        cfg = self.config
+        return build_made(
+            vocab_sizes,
+            arch=cfg.arch,
+            hidden_sizes=cfg.hidden_sizes,
+            embed_dim=cfg.embed_dim,
+            order=self._build_order(vocab_sizes),
+            seed=seed,
+        )
+
+    def _refresh_inference(self) -> None:
         """(Re)build frozen mixtures, interval estimators, and the sampler.
 
-        ``finalise=False`` keeps the existing frozen mixtures and
-        Monte-Carlo interval estimators (re-finalising re-draws the
-        interval samples from the stateful reducer streams) — the right
-        mode when only the sampler stack changes, e.g. a precision-tier
-        switch over unchanged weights.
+        Runs after fit, after each ``on_epoch_end`` epoch, on a precision
+        switch and at load. ``GMMReducer.finalise`` replays its first
+        interval draw, so over unchanged mixture parameters every call
+        rebuilds bitwise the same masses.
         """
         assert self.model is not None and self._table is not None
-        if finalise:
-            for reducer in self.reducers:
-                if isinstance(reducer, GMMReducer):
-                    reducer.finalise()
+        for reducer in self.reducers:
+            if isinstance(reducer, GMMReducer):
+                reducer.finalise()
         sampler = ProgressiveSampler(
             self.model,
             n_samples=self.config.n_progressive_samples,
             seed=ensure_rng(self.config.seed),
             stratify_first=self.config.stratified_sampling,
-            dtype=self._plan_dtype(),
+            # None: the module's native float64, the bitwise-exact tier.
+            dtype=np.float32 if self.config.inference_precision == "float32" else None,
         )
         self._inference = IAMInference(
             self._table, self.reducers, sampler, bias_correction=self.config.bias_correction
         )
-
-    def _plan_dtype(self):
-        """The compiled-plan dtype requested by ``inference_precision``
-        (None = the module's native float64, the bitwise-exact tier)."""
-        if self.config.inference_precision == "float32":
-            return np.float32
-        return None
 
     def set_precision(self, precision: str) -> "IAM":
         """Switch the inference precision tier in place.
@@ -217,17 +203,11 @@ class IAM:
         serving layer calls this on register and on every hot reload so
         a model keeps its tier across weight swaps.
         """
-        if precision not in ("float64", "float32"):
-            raise ConfigError(
-                f"unknown inference_precision {precision!r} "
-                "(expected 'float64' or 'float32')"
-            )
+        validate_precision(precision)
         changed = precision != self.config.inference_precision
         self.config.inference_precision = precision
         if changed and self._inference is not None:
-            # Weights and reducers are unchanged — rebuild only the
-            # sampler/mass-cache stack at the new tier.
-            self._refresh_inference(finalise=False)
+            self._refresh_inference()
         return self
 
     # ------------------------------------------------------------------
@@ -262,7 +242,7 @@ class IAM:
 
     def estimate(self, query: Query) -> float:
         """Estimated selectivity of one conjunctive query."""
-        raw = self._require_inference().estimate(query)
+        raw = float(self._require_inference().estimate_batch([query])[0])
         return clamp_selectivity(raw, self.table.num_rows)
 
     def estimate_many(
@@ -278,14 +258,11 @@ class IAM:
         the serving layer's determinism contract.
         """
         inference = self._require_inference()
-        if len(queries) <= batch_size:  # one chunk: skip the slicing
-            out = inference.estimate_batch(queries, rngs=rngs)
-        else:
-            out = np.empty(len(queries))
-            for start in range(0, len(queries), batch_size):
-                chunk = list(queries[start : start + batch_size])
-                chunk_rngs = None if rngs is None else list(rngs[start : start + len(chunk)])
-                out[start : start + len(chunk)] = inference.estimate_batch(chunk, rngs=chunk_rngs)
+        out = np.empty(len(queries))
+        for start in range(0, len(queries), batch_size):
+            chunk = list(queries[start : start + batch_size])
+            chunk_rngs = None if rngs is None else list(rngs[start : start + len(chunk)])
+            out[start : start + len(chunk)] = inference.estimate_batch(chunk, rngs=chunk_rngs)
         n = self.table.num_rows
         return np.clip(out, 1.0 / n, 1.0)
 
@@ -366,9 +343,7 @@ class IAM:
             raise NotFittedError("IAM used before fit()")
         total = self.model.size_bytes()
         for reducer in self.reducers:
-            if isinstance(reducer, GMMReducer):
-                total += reducer.mixture.size_bytes() if reducer.mixture else 0
-            elif not isinstance(reducer, IdentityReducer):
+            if not isinstance(reducer, IdentityReducer):
                 total += reducer.size_bytes()
         return total
 

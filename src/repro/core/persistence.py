@@ -1,29 +1,29 @@
 """Save / load a fitted IAM model.
 
 The archive (``.npz`` + embedded JSON) stores the config, the AR state
-dict, and each reducer's parameters. Monte-Carlo interval samples are
-regenerated at load time from the stored GMM parameters (they are derived
-state). The training table itself is NOT stored — ``load_iam`` takes the
-table (or a schema-compatible one) to rebind inference.
+dict and each reducer's parameters; a GMM column adds the stream state
+its interval draws start from and a sha256 of its training values. The
+table is not stored: ``load_iam`` takes it, restores the above, and
+rebuilds inference through the fit's own ``IAM._refresh_inference``, so
+the loaded model answers bitwise like the fitted one. Empirical masses
+are recounted from the table's columns and need the training values
+themselves (another column raises ``ConfigError``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 
 import numpy as np
 
-from repro.ar.made import build_made
-from repro.ar.progressive import ProgressiveSampler
 from repro.core.config import IAMConfig
-from repro.core.inference import IAMInference
 from repro.core.model import IAM
-from repro.data.table import Table
+from repro.data.table import Column, Table
 from repro.errors import ConfigError, NotFittedError
 from repro.mixtures.base import GaussianMixture1D
-from repro.mixtures.interval import make_interval_estimator
 from repro.reducers import (
     EquiDepthReducer,
     GMMReducer,
@@ -31,7 +31,6 @@ from repro.reducers import (
     SplineReducer,
     UniformMixtureReducer,
 )
-from repro.utils.rng import ensure_rng
 
 # Config keys that older archives store but IAMConfig no longer has.
 # ``n_workers`` selected the removed data-parallel trainer; it never
@@ -39,70 +38,75 @@ from repro.utils.rng import ensure_rng
 _RETIRED_CONFIG_KEYS = frozenset({"n_workers"})
 
 
+# Section 6.6 reducers round-trip their parameter arrays and token count.
+_ARRAY_REDUCERS = {
+    "hist": (EquiDepthReducer, ("edges",)),
+    "spline": (SplineReducer, ("knots",)),
+    "umm": (UniformMixtureReducer, ("lows", "highs", "weights")),
+}
+
+
+def _values_sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
 def _reducer_payload(reducer) -> dict:
     if isinstance(reducer, GMMReducer):
         if reducer.mixture is None:
             raise NotFittedError("cannot save an unfinalised GMMReducer")
-        return {"kind": "gmm", "mixture": reducer.mixture.to_dict()}
+        return {
+            "kind": "gmm",
+            "mixture": reducer.mixture.to_dict(),
+            "draw_state": reducer.draw_state,
+            "values_sha256": _values_sha256(reducer.fit_values),
+        }
     if isinstance(reducer, IdentityReducer):
         return {"kind": "identity", "distinct": reducer.codec.distinct_values.tolist()}
-    if isinstance(reducer, EquiDepthReducer):
-        return {"kind": "hist", "edges": reducer.edges.tolist()}
-    if isinstance(reducer, SplineReducer):
-        return {"kind": "spline", "knots": reducer.knots.tolist()}
-    if isinstance(reducer, UniformMixtureReducer):
-        return {
-            "kind": "umm",
-            "lows": reducer.lows.tolist(),
-            "highs": reducer.highs.tolist(),
-            "weights": reducer.weights.tolist(),
-        }
+    for kind, (cls, fields) in _ARRAY_REDUCERS.items():
+        if isinstance(reducer, cls):
+            arrays = {field: getattr(reducer, field).tolist() for field in fields}
+            return {"kind": kind, "n_tokens": reducer.n_tokens, **arrays}
     raise ConfigError(f"unsupported reducer type {type(reducer).__name__}")
 
 
-def _reducer_from_payload(payload: dict, config: IAMConfig, seed):
+def _reducer_from_payload(payload: dict, config: IAMConfig, column: Column):
+    """An unfinalised reducer; ``IAM._refresh_inference`` finalises it."""
     kind = payload["kind"]
-    if kind == "gmm":
-        reducer = GMMReducer(
-            interval_kind=config.interval_kind,
-            samples_per_component=config.samples_per_component,
-            seed=seed,
-        )
-        reducer.mixture = GaussianMixture1D.from_dict(payload["mixture"])
-        reducer.n_tokens = reducer.mixture.n_components
-        interval_kind = config.interval_kind
-        if interval_kind == "empirical":
-            # Empirical fractions need the training values, which the
-            # archive does not carry; fall back to the exact CDF.
-            interval_kind = "exact"
-        reducer._interval = make_interval_estimator(
-            interval_kind,
-            reducer.mixture,
-            samples_per_component=config.samples_per_component,
-            seed=seed,
-        )
-        return reducer
     if kind == "identity":
         reducer = IdentityReducer()
         reducer.fit(np.asarray(payload["distinct"]))
         return reducer
-    if kind == "hist":
-        reducer = EquiDepthReducer()
-        reducer.edges = np.asarray(payload["edges"])
-        reducer.n_tokens = len(reducer.edges) - 1
-        return reducer
-    if kind == "spline":
-        reducer = SplineReducer()
-        reducer.knots = np.asarray(payload["knots"])
-        reducer.n_tokens = len(reducer.knots) - 1
-        return reducer
-    if kind == "umm":
-        reducer = UniformMixtureReducer()
-        reducer.lows = np.asarray(payload["lows"])
-        reducer.highs = np.asarray(payload["highs"])
-        reducer.weights = np.asarray(payload["weights"])
-        reducer.n_tokens = len(reducer.weights)
-        return reducer
+    try:
+        if kind == "gmm":
+            values = column.values.astype(np.float64)
+            if (
+                config.interval_kind == "empirical"
+                and _values_sha256(values) != payload["values_sha256"]
+            ):
+                raise ConfigError(
+                    f"column {column.name!r} differs from the one the model was "
+                    "fitted on; empirical interval masses need the training values"
+                )
+            reducer = GMMReducer(
+                interval_kind=config.interval_kind,
+                samples_per_component=config.samples_per_component,
+            )
+            reducer.mixture = GaussianMixture1D.from_dict(payload["mixture"])
+            reducer.draw_state = payload["draw_state"]
+            reducer.fit_values = values
+            return reducer
+        if kind in _ARRAY_REDUCERS:
+            cls, fields = _ARRAY_REDUCERS[kind]
+            reducer = cls()
+            for field in fields:
+                setattr(reducer, field, np.asarray(payload[field]))
+            reducer.n_tokens = payload["n_tokens"]
+            return reducer
+    except KeyError as exc:
+        raise ConfigError(
+            f"archive's {kind} payload for column {column.name!r} lacks {exc}; "
+            "refit and save the model again"
+        ) from exc
     raise ConfigError(f"unknown reducer payload kind {kind!r}")
 
 
@@ -143,26 +147,16 @@ def load_iam(path: str | os.PathLike, table: Table) -> IAM:
             if name.startswith("ar.")
         }
     config = _config_from_archive(meta["config"])
+    if len(meta["reducers"]) != table.num_columns:
+        raise ConfigError(f"archive has {len(meta['reducers'])} columns, table {table.num_columns}")
 
     model = IAM(config)
     model._table = table
-    seed = ensure_rng(config.seed)
     model.reducers = [
-        _reducer_from_payload(p, config, seed) for p in meta["reducers"]
+        _reducer_from_payload(payload, config, column)
+        for payload, column in zip(meta["reducers"], table.columns)
     ]
-    model.model = build_made(
-        meta["vocab_sizes"],
-        arch=config.arch,
-        hidden_sizes=config.hidden_sizes,
-        embed_dim=config.embed_dim,
-        order=model._build_order(meta["vocab_sizes"]),
-        seed=0,
-    )
+    model.model = model._build_made(meta["vocab_sizes"], seed=0)
     model.model.load_state_dict(ar_state)
-    sampler = ProgressiveSampler(
-        model.model, n_samples=config.n_progressive_samples, seed=seed
-    )
-    model._inference = IAMInference(
-        table, model.reducers, sampler, bias_correction=config.bias_correction
-    )
+    model._refresh_inference()
     return model

@@ -226,7 +226,8 @@ class JointTrainer:
             # GMMs so the AR model converges on *stable* assignments —
             # during joint training the argmax assignments drift with the
             # GMM parameters, leaving the AR marginals slightly stale.
-            joint_epochs = max(self.config.epochs - 1, 1)
+            # Without GMMs there is nothing to freeze: every epoch is joint.
+            joint_epochs = max(self.config.epochs - bool(self.gmm_modules), 1)
             self._run_epochs(joint_epochs, True, True, on_epoch_end)
             if self.config.epochs > 1 and self.gmm_modules:
                 self._run_epochs(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import IAMConfig
+from repro.core.config import IAMConfig, validate_precision
 from repro.core.model import IAM
 from repro.data.table import Table
 from repro.errors import NotFittedError
@@ -77,13 +77,7 @@ class IAMEstimator(Estimator):
         fitted; before fit it just updates the config so the eventual
         plan compiles at the requested tier.
         """
-        if precision not in ("float64", "float32"):
-            from repro.errors import ConfigError
-
-            raise ConfigError(
-                f"unknown inference_precision {precision!r} "
-                "(expected 'float64' or 'float32')"
-            )
+        validate_precision(precision)
         if self.model is not None:
             self.model.set_precision(precision)  # shares self.config
         else:

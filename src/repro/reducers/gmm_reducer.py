@@ -68,7 +68,8 @@ class GMMReducer(DomainReducer):
         self.module: SGDGaussianMixture | None = None
         self.mixture: GaussianMixture1D | None = None
         self._interval: IntervalMassEstimator | None = None
-        self._fit_values: np.ndarray | None = None
+        self.fit_values: np.ndarray | None = None
+        self.draw_state: dict | None = None
         self.n_tokens = 0
 
     # ------------------------------------------------------------------
@@ -88,19 +89,28 @@ class GMMReducer(DomainReducer):
         loc = float(values.mean())
         scale = float(values.std()) or 1.0
         self.module = SGDGaussianMixture(init, loc=loc, scale=scale)
-        self._fit_values = values
+        self.n_tokens = self.module.n_components
+        self.fit_values = values
         return self.module
 
     def finalise(self) -> "GMMReducer":
-        """Freeze the trained module and build the interval estimator."""
-        if self.module is None or self._fit_values is None:
-            raise NotFittedError("initialise() must run before finalise()")
-        self.mixture = self.module.freeze()
-        self.n_tokens = self.mixture.n_components
+        """Freeze the trained module (or take a restored :attr:`mixture`)
+        and build the interval estimator. The first call keeps the
+        stream state the interval draws start from and later calls
+        replay it, so the Monte-Carlo samples are bitwise the same on
+        every call, and after a restore of the fitted ``draw_state``."""
+        if self.module is not None:
+            self.mixture = self.module.freeze()
+        mixture = self._require_mixture()
+        if self.draw_state is None:
+            self.draw_state = self._rng.bit_generator.state
+        else:
+            self._rng.bit_generator.state = self.draw_state
+        self.n_tokens = mixture.n_components
         self._interval = make_interval_estimator(
             self.interval_kind,
-            self.mixture,
-            values=self._fit_values,
+            mixture,
+            values=self.fit_values,
             samples_per_component=self.samples_per_component,
             seed=self._rng,
         )
@@ -112,7 +122,7 @@ class GMMReducer(DomainReducer):
         from repro.nn.optim import Adam
 
         module = self.initialise(values)
-        values = self._fit_values
+        values = self.fit_values
         optimizer = Adam(module.parameters(), lr=self.sgd_lr)
         for _ in range(self.sgd_epochs):
             order = self._rng.permutation(len(values))

@@ -10,10 +10,11 @@ Usage::
 
 ``--selftest`` exercises the whole stack — concurrent clients through
 micro-batching and the cache, bitwise-equality against the sequential
-reference, telemetry, an HTTP round trip, and the degraded/timeout
-fallback — and exits nonzero on any violation.  With ``--workers N``
-(N > 1) the same steps run against the multi-process cluster, plus a
-SIGKILL/respawn cycle and a shared-memory leak check.
+reference, telemetry, a ``save_iam`` archive loaded under a second name
+(bitwise-equal to the fitted model), an HTTP round trip, and the
+degraded/timeout fallback — and exits nonzero on any violation.  With
+``--workers N`` (N > 1) the same steps run against the multi-process
+cluster, plus a SIGKILL/respawn cycle and a shared-memory leak check.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
@@ -133,12 +135,15 @@ def run_selftest(
 
     Covers concurrent clients through the cache and batcher (in worker
     processes when ``workers > 1``), bitwise equality against the
-    sequential reference, telemetry, an HTTP round trip, and the
+    sequential reference, telemetry, a saved-and-loaded archive that
+    answers bitwise like the fitted model, an HTTP round trip, and the
     timeout-degrade path.  A cluster also gets a SIGKILL/respawn cycle
     and a /dev/shm leak check on close.
     """
+    from repro.core.persistence import save_iam
     from repro.serve.cluster import leaked_segments
     from repro.serve.cluster.testing import SlowEstimator
+    from repro.utils.rng import ensure_rng, query_seed
 
     baseline = leaked_segments()
     config = ServeConfig(max_batch_size=8, max_wait_ms=5.0, cache_entries=512)
@@ -191,6 +196,19 @@ def run_selftest(
         if workers > 1 and sum(w["alive"] for w in metrics["workers"]) != workers:
             failures.append(f"expected {workers} live workers: {metrics['workers']}")
 
+        # The archive path: the saved model, loaded under a second name,
+        # answers bitwise like the fitted estimator for the same seeds.
+        model, loaded = service._require_model(dataset), f"{dataset}-archive"
+        with tempfile.TemporaryDirectory() as tmp, model.lock:
+            path = os.path.join(tmp, "model.npz")
+            save_iam(model.estimator.model, path)
+            service.load_model(loaded, path, model.estimator.table)
+            rngs = [ensure_rng(query_seed(loaded, q.cache_key())) for q in queries]
+            fitted = [model.estimator.estimate_batch([q], [r])[0] for q, r in zip(queries, rngs)]
+        if [service.estimate(loaded, q).selectivity for q in queries] != fitted:
+            failures.append("answers of the loaded archive differ from the fitted model")
+        service.unregister(loaded)
+
         # HTTP round trip on an ephemeral port.
         server = make_server(service, port=0)
         start_in_background(server)
@@ -235,7 +253,6 @@ def run_selftest(
         # Degraded path: a deliberately slow model must fall back.
         # (SlowEstimator lives in an importable module, so spawned
         # workers can unpickle it.)
-        model = service._require_model(dataset)
         with model.lock:
             estimator = model.estimator
         service.register(

@@ -42,6 +42,7 @@ import json
 import os
 import pickle
 import threading
+import traceback
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -264,35 +265,46 @@ class PlanAttachment:
         return True
 
 
+def _plan_from_segment(name: str, buf: memoryview, verify: bool) -> MADEPlan:
+    """Parse a segment's header and rebuild its plan over views into ``buf``."""
+    if bytes(buf[: len(_MAGIC)]) != _MAGIC:
+        raise ConfigError(f"segment {name!r} is not a published plan")
+    try:
+        header_len = int.from_bytes(bytes(buf[len(_MAGIC) : _HEADER]), "little")
+        header = json.loads(bytes(buf[_HEADER : _HEADER + header_len]))
+        data_start = _align(_HEADER + header_len)
+        arrays = {
+            entry["name"]: np.frombuffer(
+                buf,
+                dtype=np.dtype(entry["dtype"]),
+                count=int(np.prod(entry["shape"], dtype=np.int64)),
+                offset=data_start + entry["offset"],
+            ).reshape(entry["shape"])
+            for entry in header["arrays"]
+        }
+        return MADEPlan.from_buffers(header["meta"], arrays, verify=verify)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"segment {name!r} has a malformed header: {exc!r}") from exc
+
+
 def attach_plan(name: str, verify: bool = True) -> PlanAttachment:
     """Map a published segment and rebuild its plan, zero-copy.
 
     Every ndarray the returned plan holds is a read-only view into the
     shared mapping; ``verify`` re-hashes the bytes against the header
     fingerprint (cheap relative to a worker's lifetime, and the only
-    defense against attaching a torn or foreign segment).
+    defense against attaching a torn or foreign segment).  A foreign or
+    malformed segment raises ``ConfigError`` with the mapping closed.
     """
     segment = _attach_raw(name)
-    buf = segment.buf
-    if bytes(buf[: len(_MAGIC)]) != _MAGIC:
-        segment.close()
-        raise ConfigError(f"segment {name!r} is not a published plan")
-    header_len = int.from_bytes(bytes(buf[len(_MAGIC) : _HEADER]), "little")
-    header = json.loads(bytes(buf[_HEADER : _HEADER + header_len]))
-    data_start = _align(_HEADER + header_len)
-    arrays = {
-        entry["name"]: np.frombuffer(
-            buf,
-            dtype=np.dtype(entry["dtype"]),
-            count=int(np.prod(entry["shape"], dtype=np.int64)),
-            offset=data_start + entry["offset"],
-        ).reshape(entry["shape"])
-        for entry in header["arrays"]
-    }
     try:
-        plan = MADEPlan.from_buffers(header["meta"], arrays, verify=verify)
-    except Exception:
-        del arrays  # release the buffer exports before closing
+        plan = _plan_from_segment(name, segment.buf, verify)
+    except Exception as exc:
+        # The failed frames still hold views into the mapping, which
+        # close() refuses while any is alive: drop their locals first.
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__context__
         segment.close()
         raise
     return PlanAttachment(name, plan, segment)

@@ -170,6 +170,15 @@ class TestTrainingModes:
         assert len(estimates) == 2
         assert all(0 < e <= 1 for e in estimates)
 
+    def test_every_epoch_runs_without_gmm_columns(self, twi_small):
+        """No GMM to freeze: all ``epochs`` are joint epochs."""
+        config = IAMConfig(**{**FAST_IAM, "gmm_domain_threshold": 10**9, "epochs": 3})
+        epochs = []
+        model = IAM(config).fit(twi_small, on_epoch_end=lambda e, _m: epochs.append(e))
+        assert not any(isinstance(r, GMMReducer) for r in model.reducers)
+        assert len(model.epoch_losses) == 3
+        assert epochs == [0, 1, 2]
+
     def test_vbgmm_component_selection(self, twi_small):
         config = IAMConfig(**{**FAST_IAM, "n_components": None, "epochs": 1})
         model = IAM(config).fit(twi_small)
@@ -201,10 +210,14 @@ class TestPersistence:
         path = tmp_path / "iam.npz"
         save_iam(fitted_iam, path)
         restored = load_iam(path, twi_small)
-        q = twi_workload.queries[0]
-        original = fitted_iam.estimate(q)
-        loaded = restored.estimate(q)
-        assert q_error(max(original, 1e-9), max(loaded, 1e-9)) < 1.3
+        queries = twi_workload.queries[:4]
+
+        def seeded(model):
+            return model.estimate_many(
+                queries, rngs=[np.random.default_rng(i) for i in range(len(queries))]
+            )
+
+        assert np.array_equal(seeded(restored), seeded(fitted_iam))
 
     def test_roundtrip_preserves_structure(self, fitted_iam, twi_small, tmp_path):
         path = tmp_path / "iam.npz"

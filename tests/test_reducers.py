@@ -141,6 +141,20 @@ class TestGMMReducer:
         assert masses.min() < 1.0  # some component leaks
         assert masses.min() > 0.5  # but not catastrophically
 
+    def test_finalise_replays_its_interval_draw(self, skewed_values):
+        """Re-finalising redraws the same Monte-Carlo samples, and so does
+        a reducer restored from the mixture and its draw state."""
+        reducer = GMMReducer(
+            n_components=6, sgd_epochs=1, samples_per_component=500, seed=0
+        ).fit(skewed_values)
+        intervals = [(float(np.quantile(skewed_values, 0.3)), float(np.median(skewed_values)))]
+        first = reducer.range_mass(intervals)
+        assert np.array_equal(reducer.finalise().range_mass(intervals), first)
+
+        restored = GMMReducer(samples_per_component=500)
+        restored.mixture, restored.draw_state = reducer.mixture, reducer.draw_state
+        assert np.array_equal(restored.finalise().range_mass(intervals), first)
+
     def test_interval_kinds_consistent(self, skewed_values):
         masses = {}
         for kind in ("montecarlo", "exact", "empirical"):

@@ -1030,7 +1030,8 @@ class TestPrecisionTiers:
         assert IAMConfig(inference_precision="float32").inference_precision == "float32"
 
     def test_set_precision_switch_is_deterministic(self, twi_small):
-        """Tier switches are pure: no re-finalise, bitwise-reversible."""
+        """Tier switches are pure: the re-finalise replays the first
+        interval draw, so a switch is bitwise-reversible."""
         from repro.core.config import IAMConfig
         from repro.core.model import IAM
         from repro.query.workload import Workload

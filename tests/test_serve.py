@@ -461,6 +461,55 @@ class TestPrecisionServing:
         finally:
             svc.close()
 
+    @staticmethod
+    def _load_fitted(overrides, twi_small, tmp_path, precision=None):
+        """Fit with ``overrides``, save, and ``load_model`` the archive;
+        returns (fitted IAM, service)."""
+        from repro.core.config import IAMConfig
+        from repro.core.model import IAM
+        from tests.conftest import FAST_IAM
+
+        fitted = IAM(IAMConfig(**{**FAST_IAM, "epochs": 1, **overrides})).fit(twi_small)
+        path = os.fspath(tmp_path / "iam.npz")
+        save_iam(fitted, path)
+        svc = EstimationService(ServeConfig(fallback_estimator=None))
+        svc.load_model("twi", path, twi_small, precision=precision)
+        return fitted, svc
+
+    @staticmethod
+    def _assert_served_like_fitted(svc, fitted, queries):
+        from repro.utils.rng import ensure_rng, query_seed
+
+        for query in queries:
+            rng = ensure_rng(query_seed("twi", query.cache_key()))
+            expected = fitted.estimate_many([query], rngs=[rng])[0]
+            assert svc.estimate("twi", query).selectivity == expected
+
+    @pytest.mark.parametrize("precision", [None, "float32"])
+    def test_float32_archive_serves_float32_plan(
+        self, precision, twi_small, tmp_path, twi_workload
+    ):
+        """The archive's own tier is served, whether or not it is asked for."""
+        fitted, svc = self._load_fitted(
+            {"inference_precision": "float32"}, twi_small, tmp_path, precision
+        )
+        try:
+            assert svc._require_model("twi").describe()["plan_dtype"] == "float32"
+            self._assert_served_like_fitted(svc, fitted, twi_workload.queries[:6])
+        finally:
+            svc.close()
+
+    def test_stratified_archive_answers_like_fitted_model(
+        self, twi_small, tmp_path, twi_workload
+    ):
+        fitted, svc = self._load_fitted(
+            {"stratified_sampling": True}, twi_small, tmp_path
+        )
+        try:
+            self._assert_served_like_fitted(svc, fitted, twi_workload.queries[:6])
+        finally:
+            svc.close()
+
     def test_precision_rejected_for_estimators_without_tiers(self, twi_small):
         from repro.estimators.registry import build_estimator
 

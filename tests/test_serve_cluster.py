@@ -15,6 +15,7 @@ possible, one or two workers each.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
@@ -138,6 +139,42 @@ class TestSharedPlanSegments:
         finally:
             raw.close()
             raw.unlink()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"{not json",
+            b'{"arrays": []}',
+            json.dumps(
+                {"arrays": [{"name": "out_weight", "dtype": "float64",
+                             "shape": [64], "offset": 0}], "meta": {}}
+            ).encode(),
+        ],
+        ids=["bad-json", "missing-keys", "offset-past-mapping"],
+    )
+    def test_attach_rejects_malformed_header_and_closes(self, header, monkeypatch):
+        from multiprocessing import shared_memory
+
+        from repro.serve.cluster import shm
+
+        opened = []
+        attach_raw = shm._attach_raw
+        monkeypatch.setattr(
+            shm, "_attach_raw", lambda name: opened.append(attach_raw(name)) or opened[-1]
+        )
+        before = leaked_segments()
+        raw = shared_memory.SharedMemory(create=True, size=256)
+        try:
+            raw.buf[:8] = b"IAMPLAN1"
+            raw.buf[8:16] = len(header).to_bytes(8, "little")
+            raw.buf[16 : 16 + len(header)] = header
+            with pytest.raises(ConfigError):
+                attach_plan(raw.name)
+            assert opened and opened[0].buf is None  # the mapping was closed
+        finally:
+            raw.close()
+            raw.unlink()
+        assert leaked_segments() == before
 
     def test_plan_pickler_externalizes_plans_and_workspaces(self, iam_estimator):
         plan = iam_estimator.runtime_plan()
