@@ -36,7 +36,7 @@ from repro.autodiff.tensor import no_grad
 from repro.ar.made import MADE
 from repro.errors import ConfigError
 from repro.runtime.plan import MADEPlan, Workspace, compile_made, softmax_inplace
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 
 @dataclass
@@ -214,6 +214,11 @@ class ProgressiveSampler:
         stderr = float(weights.std(ddof=1) / np.sqrt(len(weights))) if len(weights) > 1 else 0.0
         return estimate, stderr
 
+    def child_rngs(self, count: int) -> list[np.random.Generator]:
+        """``count`` independent generators spawned from the sampler's
+        seed: what :meth:`sample_weights` draws from without ``rngs``."""
+        return spawn_rngs(self._rng, count)
+
     def sample_weights(
         self,
         queries: Sequence[Sequence[SlotConstraint | None]],
@@ -221,14 +226,14 @@ class ProgressiveSampler:
     ) -> np.ndarray:
         """(n_queries, n_samples) raw per-sample selectivity weights.
 
-        ``rngs`` optionally supplies one independent generator per query.
-        Each query's categorical draws then come from its own stream, so
-        its weights depend only on (model, query, its generator) — NOT on
-        the other queries sharing the forward passes. The serving layer
-        relies on this to make batched results bitwise-equal to
-        single-query runs (the AR forward pass is row-wise deterministic,
-        and wildcard skipping keeps each query's rows independent).
-        Without ``rngs`` the sampler's own stateful stream is used.
+        Every query draws from its own generator: ``rngs`` supplies one
+        per query, and without it the sampler spawns one child per query
+        from its seed (:meth:`child_rngs`). A query's weights therefore
+        depend only on (model, query, its generator) — NOT on the other
+        queries sharing the forward passes. The serving layer relies on
+        this to make batched results bitwise-equal to single-query runs
+        (the AR forward pass is row-wise deterministic, and wildcard
+        skipping keeps each query's rows independent).
 
         Batches execute column-by-column across queries, not
         query-by-query: queries are grouped by *constrained-column
@@ -255,9 +260,11 @@ class ProgressiveSampler:
                     f"expected {model.n_columns} constraints per query, "
                     f"got {len(constraints)}"
                 )
+        if rngs is None:
+            rngs = self.child_rngs(n_queries)
 
         # Group query indices by signature, preserving first-seen order
-        # (deterministic for telemetry and for the shared-stream path).
+        # (deterministic for telemetry).
         groups: dict[tuple[int, ...], list[int]] = {}
         ar_order = self._ar_order
         for qi, constraints in enumerate(queries):
@@ -272,11 +279,10 @@ class ProgressiveSampler:
         # path is pure numpy and skips the (measurable) enter/exit cost.
         with no_grad() if self.plan is None else nullcontext():
             for signature, indices in groups.items():
-                group_rngs = None if rngs is None else [rngs[qi] for qi in indices]
                 out[indices] = self._sample_group(
                     signature,
                     [queries[qi] for qi in indices],
-                    group_rngs,
+                    [rngs[qi] for qi in indices],
                 )
         return out
 
@@ -284,7 +290,7 @@ class ProgressiveSampler:
         self,
         columns: tuple[int, ...],
         queries: Sequence[Sequence[SlotConstraint | None]],
-        rngs: Sequence[np.random.Generator] | None,
+        rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
         """Sample one signature group: every query constrains ``columns``.
 
@@ -324,13 +330,11 @@ class ProgressiveSampler:
         # `first[j]` is a row holding context j. Tracked on the plan
         # path once the shared prefix ends.
         ctx = first = None
-        # Per-query streams only: all of a query's categorical uniforms
-        # are drawn in ONE generator call at its first uniform step (the
-        # generator fills a block with exactly the doubles the
-        # per-column calls would consume, in the same order), so the
-        # column loop does no per-query generator work. The shared
-        # stream (rngs is None) cannot hoist: its consumption order
-        # interleaves queries within each column.
+        # All of a query's categorical uniforms are drawn in ONE
+        # generator call at its first uniform step (the generator fills
+        # a block with exactly the doubles the per-column calls would
+        # consume, in the same order), so the column loop does no
+        # per-query generator work.
         uniforms: np.ndarray | None = None
         u_index = 0
 
@@ -429,12 +433,11 @@ class ProgressiveSampler:
             if self.stratify_first and first_column:
                 draws = np.empty(n_rows, dtype=np.int64)
                 position = 0
-                for qi in range(g):
-                    rng = self._rng if rngs is None else rngs[qi]
+                for rng in rngs:
                     rows = slice(position, position + ns)
                     draws[rows] = _systematic_rows(distribution[rows], rng)
                     position += ns
-            elif self.stratify_first or rngs is not None:
+            else:
                 # Per-query streams, group-level arithmetic: the cdf and
                 # the comparison are row-wise ops, so computing them on
                 # the stacked block is bitwise-identical to per-query
@@ -442,41 +445,27 @@ class ProgressiveSampler:
                 # from each query's own generator, in query order.
                 cdf = np.cumsum(distribution, axis=1)
                 cdf[:, -1] = 1.0  # guard floating-point undershoot
-                if rngs is not None:
-                    if uniforms is None:
-                        # Remaining uniform steps, this one included —
-                        # the stratified first column (if any) consumed
-                        # its systematic draws already, so each query's
-                        # block starts exactly where its per-column
-                        # stream would.
-                        # Rows-first, so the buffer grows along axis 0
-                        # like every other: column j of a row block is
-                        # the query's j-th remaining uniform step.
-                        remaining = len(columns) - columns.index(column)
-                        uniforms = self._workspace.get(
-                            "uniforms", (n_rows, model.n_columns), np.float64
-                        )[:, :remaining]
-                        position = 0
-                        for qi in range(g):
-                            uniforms[position : position + ns] = rngs[
-                                qi
-                            ].uniform(size=(remaining, ns)).T
-                            position += ns
-                    u = uniforms[:, u_index, None]
-                    u_index += 1
-                else:
-                    u = self._workspace.get(
+                if uniforms is None:
+                    # Remaining uniform steps, this one included — the
+                    # stratified first column (if any) consumed its
+                    # systematic draws already, so each query's block
+                    # starts exactly where its per-column stream would.
+                    # Rows-first, so the buffer grows along axis 0 like
+                    # every other: column j of a row block is the
+                    # query's j-th remaining uniform step.
+                    remaining = len(columns) - columns.index(column)
+                    uniforms = self._workspace.get(
                         "uniforms", (n_rows, model.n_columns), np.float64
-                    )[:, :1]
+                    )[:, :remaining]
                     position = 0
-                    for qi in range(g):
-                        u[position : position + ns] = self._rng.uniform(
-                            size=(ns, 1)
-                        )
+                    for rng in rngs:
+                        uniforms[position : position + ns] = rng.uniform(
+                            size=(remaining, ns)
+                        ).T
                         position += ns
+                u = uniforms[:, u_index, None]
+                u_index += 1
                 draws = (u > cdf).sum(axis=1, dtype=np.int64)
-            else:
-                draws = _sample_rows(distribution, self._rng)
 
             tokens[:, column] = draws
             first_column = False

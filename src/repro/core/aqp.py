@@ -23,14 +23,15 @@ expectation depends on the queried prefix), with range = full domain.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ar.progressive import SlotConstraint
-from repro.core.inference import build_constraints
+from repro.ar.progressive import ProgressiveSampler, SlotConstraint
 from repro.core.model import IAM
 from repro.errors import QueryError
+from repro.query.predicate import Op, Predicate
 from repro.query.query import Query
 from repro.reducers.gmm_reducer import GMMReducer
 from repro.reducers.identity import IdentityReducer
@@ -123,39 +124,16 @@ class AQPEngine:
             raise QueryError(f"unknown target column {target_column!r}")
         target_index = table.column_names.index(target_column)
 
-        constraints = build_constraints(
-            table, model.reducers, query, model.config.bias_correction
-        )
-        # The target column must be sampled even when unqueried.
-        target_intervals: list[tuple[float, float]]
-        constraint_map = query.constraints(table)
-        if target_column in constraint_map:
-            target_intervals = list(constraint_map[target_column].intervals)
-        else:
+        # The target column must be sampled even when unqueried: a
+        # full-domain predicate on it adds exactly that constraint.
+        if target_column not in query.columns:
             column = table[target_column]
-            target_intervals = [(column.min, column.max)]
-            reducer = model.reducers[target_index]
-            constraints[target_index] = SlotConstraint(
-                mass=reducer.range_mass(target_intervals)
-            )
-
+            query = Query([*query.predicates, Predicate(target_column, Op.GE, column.min)])
+        target_intervals = list(query.constraints(table)[target_column].intervals)
         means = self._value_table(target_index).conditional_means(target_intervals)
 
-        # Two passes over the same seeded sampler: one with the value
-        # factor (SUM), one without (COUNT) — identical sample paths, so
-        # AVG = SUM/COUNT is a ratio estimator over common randomness.
-        from repro.ar.progressive import ProgressiveSampler
-        from repro.utils.rng import ensure_rng
-
-        n = n_samples or model.config.n_progressive_samples
-        seed = model.config.seed
-        # Both passes run off the already compiled inference plan; the
-        # Module is only the fallback for models without one.
-        backend = model.runtime_plan() or model.model
-
-        count_sampler = ProgressiveSampler(backend, n_samples=n, seed=ensure_rng(seed))
-        sel = float(count_sampler.estimate_batch([constraints])[0])
-
+        inference = model._require_inference()
+        (constraints,) = inference.constraints([query])
         sum_constraints = list(constraints)
         base = sum_constraints[target_index]
         sum_constraints[target_index] = SlotConstraint(
@@ -163,10 +141,19 @@ class AQPEngine:
             per_sample=base.per_sample,
             scale=lambda tokens: means[tokens],
         )
-        sum_sampler = ProgressiveSampler(backend, n_samples=n, seed=ensure_rng(seed))
-        expected = float(
-            sum_sampler.estimate_batch([sum_constraints], clip_negative=False)[0]
+        # One call, two copies of one generator: the COUNT pass and the
+        # SUM pass (the value factor) follow identical sample paths, so
+        # AVG = SUM/COUNT is a ratio estimator over common randomness.
+        (rng,) = inference.sampler.child_rngs(1)
+        sampler = ProgressiveSampler(
+            inference.sampler.plan,
+            n_samples=n_samples or model.config.n_progressive_samples,
         )
+        weights = sampler.sample_weights(
+            [constraints, sum_constraints], rngs=[rng, copy.deepcopy(rng)]
+        )
+        sel = max(float(weights[0].mean()), 0.0)
+        expected = float(weights[1].mean())
 
         count = sel * table.num_rows
         total = expected * table.num_rows

@@ -32,47 +32,21 @@ from repro.reducers.base import DomainReducer
 from repro.runtime.gmm import RangeMassCache
 
 
-def build_constraints(
-    table: Table,
-    reducers: Sequence[DomainReducer],
-    query: Query,
-    bias_correction: bool = True,
-    mass_cache: RangeMassCache | None = None,
-    dtype=np.float64,
-) -> list[SlotConstraint | None]:
-    """Per-column sampler constraints for one conjunctive query.
-
-    Element 0 of :func:`build_constraints_batch` on ``[query]``.
-    ``mass_cache`` (when given) memoizes the per-component range masses
-    ``P_GMM^k(R_i)`` across queries — bitwise-equal to the direct
-    ``reducer.range_mass`` call, just cheaper on repeated bounds.
-    ``dtype`` is the sampler's working precision; the cache carries its
-    own tier, so the knob only shapes the masses built outside it
-    (empty-range zeros, the uncached path, the biased indicator).
-    """
-    return build_constraints_batch(
-        table, reducers, [query], bias_correction, mass_cache=mass_cache, dtype=dtype
-    )[0]
-
-
 def build_constraints_batch(
     table: Table,
     reducers: Sequence[DomainReducer],
     queries: Sequence[Query],
+    mass_cache: RangeMassCache,
     bias_correction: bool = True,
-    mass_cache: RangeMassCache | None = None,
-    dtype=np.float64,
 ) -> list[list[SlotConstraint | None]]:
-    """Batched :func:`build_constraints`: one mass lookup pass per column.
+    """Per-column sampler constraints for a batch of conjunctive queries.
 
-    Instead of walking the columns once per query, walks each column
-    once for the whole batch and resolves every query's range mass on it
-    through :meth:`~repro.runtime.gmm.RangeMassCache.range_mass_batch`
-    (shared interval computations, one memo traversal).  Element ``i``
-    is bitwise-equal to ``build_constraints(table, reducers,
-    queries[i], ...)``.
+    Walks each column once for the whole batch and resolves every
+    query's range mass on it through
+    :meth:`~repro.runtime.gmm.RangeMassCache.range_mass_batch` (shared
+    interval computations, one memo traversal) — bitwise-equal to the
+    direct ``reducer.range_mass`` call, in the cache's precision tier.
     """
-    dtype = np.dtype(dtype)
     constraint_maps = [query.constraints(table) for query in queries]
     all_slots: list[list[SlotConstraint | None]] = [
         [None] * len(table.columns) for _ in queries
@@ -85,21 +59,15 @@ def build_constraints_batch(
                 continue  # wildcard skipping
             if constraint.is_empty:
                 all_slots[qi][ci] = SlotConstraint(
-                    mass=np.zeros(reducer.n_tokens, dtype=dtype)
+                    mass=np.zeros(reducer.n_tokens, dtype=mass_cache.dtype)
                 )
                 continue
             requests.append((qi, constraint.intervals))
         if not requests:
             continue
-        if mass_cache is not None:
-            masses = mass_cache.range_mass_batch(
-                column.name, [intervals for _, intervals in requests]
-            )
-        else:
-            masses = [
-                np.asarray(reducer.range_mass(intervals), dtype=dtype)
-                for _, intervals in requests
-            ]
+        masses = mass_cache.range_mass_batch(
+            column.name, [intervals for _, intervals in requests]
+        )
         for (qi, _), mass in zip(requests, masses):
             if not bias_correction and not reducer.is_exact:
                 mass = (mass > 0.0).astype(mass.dtype)
@@ -147,18 +115,19 @@ class IAMInference:
         The sampler groups the batch by constrained-column signature and
         runs one stacked trunk program per group per AR step.
         """
-        constraints = self._constraints_for_batch(queries)
-        return self.sampler.estimate_batch(constraints, rngs=rngs)
+        return self.sampler.estimate_batch(self.constraints(queries), rngs=rngs)
 
-    def _constraints_for_batch(
+    def constraints(
         self, queries: Sequence[Query]
     ) -> list[list[SlotConstraint | None]]:
-        """Constraint lists for a batch, built through the batched path.
+        """Sampler constraints for each query (Section 5.1): the one way
+        every IAM entry point builds them.
 
         Queries are deduplicated by canonical form and constructed
         together via :func:`build_constraints_batch` (one range-mass
-        pass per column); duplicates share one constraint list, which is
-        safe because the sampler never mutates constraint masses.
+        pass per column, through this model's mass cache, at the plan
+        dtype); duplicates share one constraint list, which is safe
+        because the sampler never mutates constraint masses.
         """
         indices_by_key: dict = {}  # cache key -> indices of its queries
         order: list = []  # distinct queries in first-seen order
@@ -169,12 +138,7 @@ class IAMInference:
                 order.append(query)
             indices_by_key[key].append(i)
         built = build_constraints_batch(
-            self.table,
-            self.reducers,
-            order,
-            self.bias_correction,
-            mass_cache=self.mass_cache,
-            dtype=self.sampler.dtype,
+            self.table, self.reducers, order, self.mass_cache, self.bias_correction
         )
         out: list = [None] * len(queries)
         for indices, slots in zip(indices_by_key.values(), built):

@@ -20,6 +20,7 @@ Column handling (paper Section 4.2, "When to Use GMMs"):
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,10 +29,10 @@ from repro.ar.made import MADE, build_made
 from repro.ar.order import heuristic_order, identity_order, random_order
 from repro.ar.progressive import ProgressiveSampler
 from repro.core.config import IAMConfig, validate_precision
-from repro.core.inference import IAMInference, build_constraints
+from repro.core.inference import IAMInference
 from repro.core.training import JointTrainer
 from repro.data.table import Table
-from repro.errors import NotFittedError
+from repro.errors import ConfigError, NotFittedError
 from repro.metrics import clamp_selectivity
 from repro.query.query import Query
 from repro.reducers import (
@@ -277,10 +278,7 @@ class IAM:
         bias); useful for deciding whether more samples would help.
         """
         inference = self._require_inference()
-        constraints = build_constraints(
-            self.table, self.reducers, query, self.config.bias_correction,
-            mass_cache=inference.mass_cache,
-        )
+        (constraints,) = inference.constraints([query])
         estimate, stderr = inference.sampler.estimate_with_error(constraints)
         return clamp_selectivity(estimate, self.table.num_rows), stderr
 
@@ -290,44 +288,48 @@ class IAM:
         target_relative_error: float = 0.1,
         max_samples: int = 8192,
     ) -> tuple[float, float, int]:
-        """Estimate with an adaptive sampling budget.
+        """Estimate with a sampling budget sized to the query (two stages).
 
-        Doubles the progressive-sampling budget until the sampling
-        standard error drops below ``target_relative_error * estimate``
-        (or ``max_samples`` is reached), pooling all drawn samples.
-        Returns ``(selectivity, stderr, samples_used)``. Useful for tail
-        queries where the configured fixed budget is too noisy.
+        A pilot of ``S0 = n_progressive_samples`` samples measures the
+        relative standard error ``rse``; the answer and its stderr then
+        come from ``S = ceil(S0 * (rse / target_relative_error)**2)``
+        (at least 1) *fresh* samples drawn on a generator independent of
+        the pilot's. Only the pilot's draws choose S, so the answer stays
+        unbiased (Theorem 5.1), which stopping on the answer's own
+        samples would not. Returns ``(selectivity, stderr,
+        samples_used)``; ``samples_used`` counts both stages and never
+        exceeds ``max_samples`` (at least 2): the pilot shrinks to
+        ``max_samples // 2`` when S0 is larger, and S is capped at what
+        the pilot leaves.
         """
-        inference = self._require_inference()
-        constraints = build_constraints(
-            self.table, self.reducers, query, self.config.bias_correction,
-            mass_cache=inference.mass_cache,
-        )
-        pooled: list[np.ndarray] = []
-        budget = self.config.n_progressive_samples
-        total = 0
-        seed_stream = ensure_rng(self.config.seed)
-        # Reuse the already compiled plan: each round only needs a fresh
-        # sampler (new budget), not a recompile of the weights.
-        backend = self.runtime_plan() or self.model
-        while True:
-            sampler = ProgressiveSampler(
-                backend,
-                n_samples=budget,
-                seed=seed_stream,
-                stratify_first=self.config.stratified_sampling,
+        if max_samples < 2 or target_relative_error <= 0:
+            raise ConfigError(
+                "estimate_adaptive needs max_samples >= 2 and target_relative_error > 0"
             )
-            pooled.append(sampler.sample_weights([constraints])[0])
-            total += budget
-            weights = np.concatenate(pooled)
-            estimate = float(np.clip(weights.mean(), 0.0, None))
-            stderr = float(weights.std(ddof=1) / np.sqrt(len(weights)))
-            if total >= max_samples:
-                break
-            if estimate > 0 and stderr <= target_relative_error * estimate:
-                break
-            budget = min(total, max_samples - total)  # double the pool
-        return clamp_selectivity(estimate, self.table.num_rows), stderr, total
+        inference = self._require_inference()
+        (constraints,) = inference.constraints([query])
+        pilot_rng, answer_rng = inference.sampler.child_rngs(2)
+
+        def draw(n_samples: int, rng) -> tuple[float, float]:
+            # A sampler per budget over the same compiled plan.
+            return ProgressiveSampler(
+                inference.sampler.plan,
+                n_samples=n_samples,
+                seed=rng,
+                stratify_first=self.config.stratified_sampling,
+            ).estimate_with_error(constraints)
+
+        pilot_samples = min(self.config.n_progressive_samples, max_samples // 2)
+        pilot, pilot_stderr = draw(pilot_samples, pilot_rng)
+        rse = pilot_stderr / pilot if pilot > 0 else 0.0
+        wanted = math.ceil(pilot_samples * (rse / target_relative_error) ** 2)
+        samples = min(max(wanted, 1), max_samples - pilot_samples)
+        estimate, stderr = draw(samples, answer_rng)
+        return (
+            clamp_selectivity(estimate, self.table.num_rows),
+            stderr,
+            pilot_samples + samples,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -355,9 +357,7 @@ class IAM:
 
     def constraints_for(self, query: Query):
         """Expose the Section 5.1 constructed query (for tests/debugging)."""
-        return build_constraints(
-            self.table, self.reducers, query, self.config.bias_correction
-        )
+        return self._require_inference().constraints([query])[0]
 
     def explain(self, query: Query) -> list[dict]:
         """Human-readable per-column account of how a query is handled.

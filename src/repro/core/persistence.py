@@ -2,10 +2,12 @@
 
 The archive (``.npz`` + embedded JSON) stores the config, the AR state
 dict and each reducer's parameters; a GMM column adds the stream state
-its interval draws start from and a sha256 of its training values. The
-table is not stored: ``load_iam`` takes it, restores the above, and
-rebuilds inference through the fit's own ``IAM._refresh_inference``, so
-the loaded model answers bitwise like the fitted one. Empirical masses
+its interval draws start from and a sha256 of its training values; a
+``loggmm`` column stores its shift and that GMM payload for its
+log-space values. The table is not stored: ``load_iam`` takes it,
+restores the above, and rebuilds inference through the fit's own
+``IAM._refresh_inference``, so the loaded model answers bitwise like
+the fitted one. Empirical masses
 are recounted from the table's columns and need the training values
 themselves (another column raises ``ConfigError``).
 """
@@ -28,6 +30,7 @@ from repro.reducers import (
     EquiDepthReducer,
     GMMReducer,
     IdentityReducer,
+    LogGMMReducer,
     SplineReducer,
     UniformMixtureReducer,
 )
@@ -51,6 +54,8 @@ def _values_sha256(values: np.ndarray) -> str:
 
 
 def _reducer_payload(reducer) -> dict:
+    if isinstance(reducer, LogGMMReducer):
+        return {"kind": "loggmm", "shift": reducer.shift, "inner": _reducer_payload(reducer.inner)}
     if isinstance(reducer, GMMReducer):
         if reducer.mixture is None:
             raise NotFittedError("cannot save an unfinalised GMMReducer")
@@ -69,8 +74,30 @@ def _reducer_payload(reducer) -> dict:
     raise ConfigError(f"unsupported reducer type {type(reducer).__name__}")
 
 
+def _gmm_from_payload(payload: dict, config: IAMConfig, name: str, values: np.ndarray):
+    """An unfinalised GMM reducer over ``values`` (the column's, or their
+    log-space image for ``loggmm``)."""
+    if config.interval_kind == "empirical" and _values_sha256(values) != payload["values_sha256"]:
+        raise ConfigError(
+            f"column {name!r} differs from the one the model was "
+            "fitted on; empirical interval masses need the training values"
+        )
+    reducer = GMMReducer(
+        interval_kind=config.interval_kind,
+        samples_per_component=config.samples_per_component,
+    )
+    reducer.mixture = GaussianMixture1D.from_dict(payload["mixture"])
+    reducer.draw_state = payload["draw_state"]
+    reducer.fit_values = values
+    return reducer
+
+
 def _reducer_from_payload(payload: dict, config: IAMConfig, column: Column):
-    """An unfinalised reducer; ``IAM._refresh_inference`` finalises it."""
+    """A restored reducer. GMM reducers come back unfinalised, and
+    ``IAM._refresh_inference`` finalises them; a ``loggmm`` reducer is
+    fitted once, before training, so the refresh leaves it alone and
+    its inner GMM is finalised here, through the same replayable
+    ``GMMReducer.finalise``."""
     kind = payload["kind"]
     if kind == "identity":
         reducer = IdentityReducer()
@@ -79,21 +106,14 @@ def _reducer_from_payload(payload: dict, config: IAMConfig, column: Column):
     try:
         if kind == "gmm":
             values = column.values.astype(np.float64)
-            if (
-                config.interval_kind == "empirical"
-                and _values_sha256(values) != payload["values_sha256"]
-            ):
-                raise ConfigError(
-                    f"column {column.name!r} differs from the one the model was "
-                    "fitted on; empirical interval masses need the training values"
-                )
-            reducer = GMMReducer(
-                interval_kind=config.interval_kind,
-                samples_per_component=config.samples_per_component,
-            )
-            reducer.mixture = GaussianMixture1D.from_dict(payload["mixture"])
-            reducer.draw_state = payload["draw_state"]
-            reducer.fit_values = values
+            return _gmm_from_payload(payload, config, column.name, values)
+        if kind == "loggmm":
+            reducer = LogGMMReducer()
+            reducer.shift = payload["shift"]
+            reducer.inner = _gmm_from_payload(
+                payload["inner"], config, column.name, reducer._to_log(column.values)
+            ).finalise()
+            reducer.n_tokens = reducer.inner.n_tokens
             return reducer
         if kind in _ARRAY_REDUCERS:
             cls, fields = _ARRAY_REDUCERS[kind]

@@ -26,6 +26,10 @@ from repro.mixtures.base import GaussianMixture1D
 from repro.utils.rng import ensure_rng
 
 
+# Rows per chunk when EmpiricalIntervalMass assigns a column.
+ASSIGN_CHUNK_ROWS = 4096
+
+
 class IntervalMassEstimator:
     """Interface: ``masses(low, high) -> (K,)`` per-component masses."""
 
@@ -96,7 +100,13 @@ class EmpiricalIntervalMass(IntervalMassEstimator):
 
     def __init__(self, mixture: GaussianMixture1D, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        assignment = mixture.assign(values)
+        # Assigned in row chunks: the (rows, K) log-joint is elementwise
+        # and its argmax row-wise, so chunks give the same assignment
+        # while peak memory stays bounded by the chunk, not the column.
+        assignment = np.empty(len(values), dtype=np.int64)
+        for start in range(0, len(values), ASSIGN_CHUNK_ROWS):
+            chunk = slice(start, start + ASSIGN_CHUNK_ROWS)
+            assignment[chunk] = mixture.assign(values[chunk])
         self.n_components = mixture.n_components
         self._sorted_values = [
             np.sort(values[assignment == k]) for k in range(mixture.n_components)

@@ -28,49 +28,49 @@ class LogGMMReducer(DomainReducer):
 
     def __init__(self, n_components: int | None = 30, interval_kind: str = "empirical",
                  samples_per_component: int = 10_000, sgd_epochs: int = 8, seed=None):
-        self._inner = GMMReducer(
+        self.inner = GMMReducer(
             n_components=n_components,
             interval_kind=interval_kind,
             samples_per_component=samples_per_component,
             sgd_epochs=sgd_epochs,
             seed=seed,
         )
-        self._shift: float | None = None
+        self.shift: float | None = None
         self.n_tokens = 0
 
     # ------------------------------------------------------------------
     def _to_log(self, values: np.ndarray) -> np.ndarray:
-        return np.log(np.maximum(np.asarray(values, dtype=np.float64) - self._shift, 1e-300))
+        return np.log(np.maximum(np.asarray(values, dtype=np.float64) - self.shift, 1e-300))
 
     def fit(self, values: np.ndarray) -> "LogGMMReducer":
         values = np.asarray(values, dtype=np.float64)
         spread = float(values.max() - values.min()) or 1.0
-        self._shift = float(values.min()) - 1e-6 * spread
-        self._inner.fit(self._to_log(values))
-        self.n_tokens = self._inner.n_tokens
+        self.shift = float(values.min()) - 1e-6 * spread
+        self.inner.fit(self._to_log(values))
+        self.n_tokens = self.inner.n_tokens
         return self
 
     def _require_fit(self) -> None:
-        if self._shift is None:
+        if self.shift is None:
             raise NotFittedError("LogGMMReducer used before fit()")
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         self._require_fit()
-        return self._inner.transform(self._to_log(values))
+        return self.inner.transform(self._to_log(values))
 
     def _interval_mass(self, low: float, high: float) -> np.ndarray:
         self._require_fit()
         if high < low:
             return np.zeros(self.n_tokens)
         # Clamp below the support: everything <= shift has zero mass.
-        log_low = float(self._to_log(np.array([max(low, self._shift + 1e-300)]))[0])
-        log_high = float(self._to_log(np.array([max(high, self._shift + 1e-300)]))[0])
-        return self._inner._interval_mass(log_low, log_high)
+        log_low = float(self._to_log(np.array([max(low, self.shift + 1e-300)]))[0])
+        log_high = float(self._to_log(np.array([max(high, self.shift + 1e-300)]))[0])
+        return self.inner._interval_mass(log_low, log_high)
 
     def size_bytes(self) -> int:
-        return self._inner.size_bytes() + 4  # + the shift
+        return self.inner.size_bytes() + 4  # + the shift
 
     @property
     def mixture(self):
         """The underlying (log-space) mixture, for inspection."""
-        return self._inner.mixture
+        return self.inner.mixture

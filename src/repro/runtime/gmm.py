@@ -68,41 +68,18 @@ class RangeMassCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.version = 0
 
     # ------------------------------------------------------------------
-    def add_column(self, name: str, reducer) -> None:
-        """Register (or replace) the reducer answering for ``name``."""
-        previous = self._reducers.get(name)
-        self._reducers[name] = reducer
-        if previous is not None and previous is not reducer:
-            self._single.pop(name, None)
-            self._union.pop(name, None)
-
-    def columns(self) -> list[str]:
-        return sorted(self._reducers)
-
-    # ------------------------------------------------------------------
-    def range_mass(self, column: str, intervals: Sequence[Interval]) -> np.ndarray:
-        """Cached ``reducer.range_mass(intervals)`` for ``column``.
-
-        Element 0 of :meth:`range_mass_batch` on ``[intervals]``:
-        bitwise-equal to the uncached call; the returned array is
-        read-only and shared between hits — copy before mutating.
-        """
-        return self.range_mass_batch(column, [intervals])[0]
-
     def range_mass_batch(
         self, column: str, interval_sets: Sequence[Sequence[Interval]]
     ) -> list[np.ndarray]:
         """Masses for many queries' interval unions on one column at once.
 
-        The multi-query counterpart of :meth:`range_mass`, built for the
-        grouped batch driver: one pass canonicalizes every request,
-        answers repeats and memoized unions without re-deriving them,
-        and computes each distinct missing interval's component mass
-        exactly once across the whole batch (shared through the level-1
-        memo).  Entry ``i`` of the returned list is bitwise-equal to
+        Built for the batched constraint builder: one pass canonicalizes
+        every request, answers repeats and memoized unions without
+        re-deriving them, and computes each distinct missing interval's
+        component mass exactly once across the whole batch (shared
+        through the level-1 memo).  Entry ``i`` of the returned list is bitwise-equal to
         ``reducer.range_mass(interval_sets[i])``.
         """
         reducer = self._reducers.get(column)
@@ -162,23 +139,3 @@ class RangeMassCache:
             self.evictions += 1
         singles[(low, high)] = mass
         return mass
-
-    # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop every memoized mass (reducers stay registered)."""
-        self._single.clear()
-        self._union.clear()
-        self.version += 1
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": (self.hits / total) if total else 0.0,
-            "evictions": self.evictions,
-            "version": self.version,
-            "columns": len(self._reducers),
-            "entries": sum(len(d) for d in self._union.values())
-            + sum(len(d) for d in self._single.values()),
-        }

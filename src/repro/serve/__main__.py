@@ -130,6 +130,7 @@ def run_selftest(
     rows: int = 1500,
     workers: int = 1,
     shard_policy: str = "replicate",
+    precision: str | None = None,
 ) -> int:
     """End-to-end smoke test; returns a process exit code.
 
@@ -138,7 +139,8 @@ def run_selftest(
     sequential reference, telemetry, a saved-and-loaded archive that
     answers bitwise like the fitted model, an HTTP round trip, and the
     timeout-degrade path.  A cluster also gets a SIGKILL/respawn cycle
-    and a /dev/shm leak check on close.
+    and a /dev/shm leak check on close. ``precision`` pins the demo
+    model's plan tier, as in :func:`build_demo_service`.
     """
     from repro.core.persistence import save_iam
     from repro.serve.cluster import leaked_segments
@@ -148,10 +150,14 @@ def run_selftest(
     baseline = leaked_segments()
     config = ServeConfig(max_batch_size=8, max_wait_ms=5.0, cache_entries=512)
     service = build_demo_service(
-        dataset, rows=rows, config=config, workers=workers, shard_policy=shard_policy
+        dataset, rows=rows, config=config, workers=workers,
+        shard_policy=shard_policy, precision=precision,
     )
     failures: list[str] = []
     try:
+        plan_dtype = service.models()[0]["plan_dtype"]
+        if precision is not None and plan_dtype != precision:
+            failures.append(f"asked for a {precision} plan, serving {plan_dtype}")
         queries = _selftest_queries(service, dataset, 12)
         reference = [service.estimate_sequential(dataset, q) for q in queries]
 
@@ -274,7 +280,8 @@ def run_selftest(
             print(f"  - {failure}")
         return 1
     print(
-        f"selftest ok ({workers} worker(s), {shard_policy if workers > 1 else 'in-process'}): "
+        f"selftest ok ({workers} worker(s), {shard_policy if workers > 1 else 'in-process'}, "
+        f"{plan_dtype} plan): "
         f"{len(results)} concurrent answers bitwise-equal, "
         f"{service.telemetry.counter('degraded')} degraded"
     )
@@ -315,8 +322,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.selftest:
         return run_selftest(
-            args.dataset, rows=args.rows,
-            workers=args.workers, shard_policy=args.shard_policy,
+            args.dataset, rows=args.rows, workers=args.workers,
+            shard_policy=args.shard_policy, precision=args.precision,
         )
 
     config = ServeConfig(

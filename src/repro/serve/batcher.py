@@ -33,7 +33,7 @@ class _Pending:
     """One in-flight request: inputs plus a slot the worker fills."""
 
     query: Query
-    rng: np.random.Generator | None
+    rng: np.random.Generator
     done: threading.Event = field(default_factory=threading.Event)
     result: float | None = None
     error: BaseException | None = None
@@ -68,16 +68,16 @@ class BatcherStats:
 class MicroBatcher:
     """Coalesces ``submit`` calls into ``run_batch`` invocations.
 
-    ``run_batch(queries, rngs)`` receives the coalesced queries and, when
-    every caller supplied one, a parallel list of per-query generators
-    (otherwise ``None``). ``max_wait_ms=0`` batches only what is already
-    queued (no added latency); larger values trade a bounded delay for
-    bigger shared batches.
+    ``run_batch(queries, rngs)`` receives the coalesced queries and the
+    parallel list of their callers' per-query generators.
+    ``max_wait_ms=0`` batches only what is already queued (no added
+    latency); larger values trade a bounded delay for bigger shared
+    batches.
     """
 
     def __init__(
         self,
-        run_batch: Callable[[list[Query], Sequence | None], np.ndarray],
+        run_batch: Callable[[list[Query], Sequence], np.ndarray],
         max_batch_size: int = 16,
         max_wait_ms: float = 0.0,
         name: str = "batcher",
@@ -105,10 +105,11 @@ class MicroBatcher:
     def submit(
         self,
         query: Query,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         timeout_seconds: float | None = None,
     ) -> float:
-        """Estimate one query, sharing a batch with concurrent callers.
+        """Estimate one query, drawing from ``rng``, sharing a batch with
+        concurrent callers.
 
         Blocks until the worker produces the result. Raises
         :class:`EstimateTimeoutError` if the deadline passes first (the
@@ -197,9 +198,7 @@ class MicroBatcher:
             self._stats.requests += len(batch)
             self._stats.largest_batch = max(self._stats.largest_batch, len(batch))
         try:
-            results = self.run_batch(
-                queries, None if any(r is None for r in rngs) else rngs
-            )
+            results = self.run_batch(queries, rngs)
             # Wire boundary for precision tiers: a float32 estimator's
             # selectivities widen exactly here (value-preserving — every
             # float32 is a float64), so callers, the cache, and the HTTP

@@ -9,9 +9,8 @@ estimator and says so in the response.
 
 Determinism contract
 --------------------
-With ``deterministic=True`` (default) every query's progressive-sampling
-draws come from a generator seeded by ``hash(model name, cache key)``, so
-a served selectivity is a pure function of (model, query): bitwise-equal
+Every query's progressive-sampling draws come from a generator seeded by
+``query_seed(model name, cache key)``, so a served selectivity is a pure function of (model, query): bitwise-equal
 whether it was computed alone, inside any micro-batch, by any thread, or
 replayed from the cache. :meth:`EstimationService.estimate_sequential`
 exposes the same pure path without cache or batcher for verification.
@@ -52,7 +51,6 @@ class ServeConfig:
     max_wait_ms: float = 0.0
     timeout_ms: float | None = None
     fallback_estimator: str | None = "sampling"
-    deterministic: bool = True
     telemetry_window: int = 2048
 
     def __post_init__(self) -> None:
@@ -463,9 +461,7 @@ class EstimationService:
             return self._finish(model, cached, "cache", False, start)
         self.telemetry.increment("cache.misses")
 
-        rng = None
-        if self.config.deterministic:
-            rng = ensure_rng(query_seed(model_name, key[2]))
+        rng = ensure_rng(query_seed(model_name, key[2]))
         deadline_ms = self.config.timeout_ms if timeout_ms is None else timeout_ms
         try:
             selectivity = model.batcher.submit(
@@ -485,14 +481,12 @@ class EstimationService:
     def estimate_sequential(self, model_name: str, query: Query) -> float:
         """The reference path: no cache, no batcher, same determinism.
 
-        With ``deterministic=True`` this equals :meth:`estimate`'s
-        selectivity bitwise for the same (model, query) — the invariant
-        the concurrency tests and ``--selftest`` assert.
+        This equals :meth:`estimate`'s selectivity bitwise for the same
+        (model, query) — the invariant the concurrency tests and
+        ``--selftest`` assert.
         """
         model = self._require_model(model_name)
-        rngs = None
-        if self.config.deterministic:
-            rngs = [ensure_rng(query_seed(model_name, query.cache_key()))]
+        rngs = [ensure_rng(query_seed(model_name, query.cache_key()))]
         with model.lock:
             return float(model.estimator.estimate_batch([query], rngs=rngs)[0])
 

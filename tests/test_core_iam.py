@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core import IAM, IAMConfig, load_iam, save_iam
-from repro.core.inference import build_constraints
 from repro.errors import ConfigError, NotFittedError
 from repro.metrics import q_error
 from repro.query import Query

@@ -1,13 +1,14 @@
 """Cross-module integration tests, including a direct statistical check
 of Theorem 5.1 (unbiasedness of IAM's progressive sampling)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.ar.progressive import ProgressiveSampler, SlotConstraint
 from repro.autodiff.tensor import no_grad
 from repro.core import IAM, IAMConfig
-from repro.core.inference import build_constraints
 from repro.datasets import make_higgs, make_twi, make_wisdm
 from repro.metrics import q_errors
 from repro.query import DNFQuery, Query, Workload, estimate_dnf
@@ -51,7 +52,7 @@ class TestTheorem51Unbiasedness:
                 ("longitude", ">=", float(np.quantile(lon.values, 0.45))),
             ]
         )
-        constraints = build_constraints(twi_small, model.reducers, query)
+        constraints = model.constraints_for(query)
         exact = model_implied_selectivity(model.model, constraints)
         return model, constraints, exact
 
@@ -64,6 +65,34 @@ class TestTheorem51Unbiasedness:
         mean = float(np.mean(estimates))
         se = float(np.std(estimates) / np.sqrt(len(estimates)))
         assert abs(mean - exact) < max(4 * se, 0.01 * exact + 1e-6)
+
+    def test_adaptive_estimate_mean_matches_exact(self, setup, twi_small):
+        """``estimate_adaptive`` sizes S from a pilot and answers from
+        fresh draws, so it averages to the model-implied value; stopping
+        on the answer's own samples would not. A 16-sample pilot on a
+        rare, narrow query makes small budgets common."""
+        model, _, _ = setup
+        lat = twi_small["latitude"].values
+        lon = twi_small["longitude"].values
+        query = Query.from_pairs(
+            [
+                ("latitude", "<=", float(np.quantile(lat, 0.2))),
+                ("longitude", ">=", float(np.quantile(lon, 0.1))),
+                ("longitude", "<=", float(np.quantile(lon, 0.15))),
+            ]
+        )
+        exact = model_implied_selectivity(model.model, model.constraints_for(query))
+        clone = copy.deepcopy(model)
+        clone.config.n_progressive_samples = 16
+        estimates = []
+        for seed in range(2000):
+            # Per call, so every call draws independently whether the
+            # method reseeds from the config or spawns from the sampler.
+            clone.config.seed = seed
+            estimates.append(clone.estimate_adaptive(query)[0])
+        mean = float(np.mean(estimates))
+        se = float(np.std(estimates) / np.sqrt(len(estimates)))
+        assert abs(mean - exact) < 4 * se
 
     def test_biased_variant_overestimates_exact(self, setup, twi_small):
         model, constraints, exact = setup

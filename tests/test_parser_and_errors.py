@@ -104,10 +104,10 @@ class TestEstimateWithError:
 class TestAdaptiveEstimation:
     def test_stops_when_precise(self, fitted_iam, twi_small):
         # A wide single-column query: zero sampling variance, so the
-        # adaptive loop must stop after the first round.
+        # pilot asks for the minimum answer stage of one sample.
         q = Query.from_pairs([("latitude", "<=", 40.0)])
         estimate, stderr, used = fitted_iam.estimate_adaptive(q)
-        assert used == fitted_iam.config.n_progressive_samples
+        assert used == fitted_iam.config.n_progressive_samples + 1
         assert stderr <= 0.1 * estimate + 1e-12
 
     def test_spends_more_on_noisy_queries(self, fitted_iam, twi_small):
@@ -133,6 +133,13 @@ class TestAdaptiveEstimation:
             q, target_relative_error=1e-6, max_samples=800
         )
         assert used <= 800
+
+    def test_pilot_shrinks_to_half_a_small_budget(self, fitted_iam):
+        q = Query.from_pairs([("latitude", "<=", 40.0)])
+        _, _, used = fitted_iam.estimate_adaptive(q, max_samples=20)
+        assert used == 11  # a 10-sample pilot, then one sample (zero variance)
+        with pytest.raises(ConfigError):
+            fitted_iam.estimate_adaptive(q, max_samples=1)
 
     def test_estimate_consistent_with_plain(self, fitted_iam, twi_workload):
         q = twi_workload.queries[0]

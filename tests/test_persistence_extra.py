@@ -43,6 +43,8 @@ _MASSES = [
     ("hist", "montecarlo"),
     ("spline", "montecarlo"),
     ("umm", "montecarlo"),
+    ("loggmm", "montecarlo"),
+    ("loggmm", "empirical"),
 ]
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.ar.made import build_made
 from repro.ar.progressive import ProgressiveSampler, SlotConstraint
-from repro.core.inference import IAMInference, build_constraints
+from repro.core.inference import IAMInference, build_constraints_batch
 from repro.core.persistence import save_iam
 from repro.errors import CompileError, ConfigError, ShapeError
 from repro.estimators.naru import NaruEstimator
@@ -36,7 +36,7 @@ from repro.runtime import (
     softmax_inplace,
 )
 from repro.serve import EstimationService, ServeConfig
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 VOCABS = [8, 5, 12, 3]
 
@@ -362,6 +362,21 @@ class TestSamplerEquivalence:
         ).sample_weights(queries)
         assert np.array_equal(plan_weights, module_weights)
 
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_default_draws_spawn_one_child_per_query(self, stratify):
+        """Without ``rngs`` each call spawns one generator per query from
+        the sampler's seed: the draws equal passing those children."""
+        made = make_model("resmade")
+        queries = [toy_constraints(0), toy_constraints(2), toy_constraints(None)]
+        sampler = ProgressiveSampler(made, n_samples=64, seed=11, stratify_first=stratify)
+        reference = ProgressiveSampler(made, n_samples=64, seed=0, stratify_first=stratify)
+        root = ensure_rng(11)
+        for _ in range(2):  # the second call continues the seed's stream
+            expected = reference.sample_weights(
+                queries, rngs=spawn_rngs(root, len(queries))
+            )
+            assert np.array_equal(sampler.sample_weights(queries), expected)
+
     def test_precompiled_plan_accepted_directly(self):
         made = make_model("resmade")
         plan = compile_made(made)
@@ -592,17 +607,15 @@ class TestIAMEndToEnd:
         query = twi_workload.queries[0]
         rngs = lambda: [ensure_rng(99)]  # noqa: E731 - tiny local factory
         first = inference.estimate_batch([query], rngs=rngs())
-        after_first = cache.stats()
+        hits, misses = cache.hits, cache.misses
         second = inference.estimate_batch([query], rngs=rngs())
         assert np.array_equal(first, second)
-        assert cache.stats()["misses"] == after_first["misses"]
+        assert cache.misses == misses
         # Rebuilding the constraints for the same bounds (what a fresh
         # query reusing a predicate does) hits the mass cache instead of
         # recomputing the GMM range masses.
-        build_constraints(
-            fitted_iam.table, fitted_iam.reducers, query, mass_cache=cache
-        )
-        assert cache.stats()["hits"] > after_first["hits"]
+        inference.constraints([query])
+        assert cache.hits > hits
 
     def test_grouped_batch_bitwise_equal_to_per_query_loop(
         self, fitted_iam, twi_workload
@@ -765,70 +778,58 @@ class TestRangeMassCache:
         cache = RangeMassCache({"c": reducer})
         intervals = [(2.0, 5.0), (8.0, 9.0)]
         direct = reducer.range_mass(intervals)
-        first = cache.range_mass("c", intervals)
+        (first,) = cache.range_mass_batch("c", [intervals])
         assert np.array_equal(first, direct)
         assert cache.hits == 0 and cache.misses == 1
-        second = cache.range_mass("c", intervals)
+        (second,) = cache.range_mass_batch("c", [intervals])
         assert second is first  # memoized object, not recomputed
         assert cache.hits == 1
         assert not second.flags.writeable
 
     def test_single_interval_memo_shared_across_unions(self, reducer):
         cache = RangeMassCache({"c": reducer})
-        cache.range_mass("c", [(2.0, 5.0)])
+        cache.range_mass_batch("c", [[(2.0, 5.0)]])
         singles = cache._single["c"]
         assert set(singles) == {(2.0, 5.0)}
         # A different union reusing the same bound hits the level-1 memo.
-        cache.range_mass("c", [(2.0, 5.0), (7.0, 9.0)])
+        cache.range_mass_batch("c", [[(2.0, 5.0), (7.0, 9.0)]])
         assert set(singles) == {(2.0, 5.0), (7.0, 9.0)}
 
     def test_custom_range_mass_reducers_memoized_whole(self, reducer):
         nullable = NullableReducer(reducer)
         cache = RangeMassCache({"c": nullable})
         intervals = [(2.0, 5.0)]
-        got = cache.range_mass("c", intervals)
+        (got,) = cache.range_mass_batch("c", [intervals])
         assert np.array_equal(got, nullable.range_mass(intervals))
         assert got[-1] == 0.0  # NULL token mass preserved by the fallback
         assert cache._single.get("c") is None  # decomposition not used
-        assert cache.range_mass("c", intervals) is got
-
-    def test_invalidate_and_replace_column(self, reducer):
-        cache = RangeMassCache({"c": reducer})
-        cache.range_mass("c", [(0.0, 3.0)])
-        assert cache.stats()["entries"] > 0
-        cache.invalidate()
-        assert cache.stats()["entries"] == 0
-        assert cache.version == 1
-        cache.range_mass("c", [(0.0, 3.0)])
-        # Swapping the reducer for a column drops that column's entries.
-        other = IdentityReducer()
-        other.fit(np.arange(4, dtype=np.int64))
-        cache.add_column("c", other)
-        assert cache.stats()["entries"] == 0
-        assert len(cache.range_mass("c", [(0.0, 3.0)])) == other.n_tokens
+        assert cache.range_mass_batch("c", [intervals])[0] is got
 
     def test_eviction_bounds_memory(self, reducer):
         cache = RangeMassCache({"c": reducer}, max_entries_per_column=4)
         for i in range(10):
-            cache.range_mass("c", [(float(i), float(i + 1))])
+            cache.range_mass_batch("c", [[(float(i), float(i + 1))]])
         assert cache.evictions > 0
-        assert cache.stats()["entries"] <= 8  # 4 per level
+        assert len(cache._single["c"]) <= 4 and len(cache._union["c"]) <= 4
 
     def test_unknown_column_raises(self, reducer):
         cache = RangeMassCache({"c": reducer})
         with pytest.raises(KeyError):
-            cache.range_mass("nope", [(0.0, 1.0)])
+            cache.range_mass_batch("nope", [[(0.0, 1.0)]])
 
     def test_build_constraints_with_cache_matches_direct(self, fitted_iam, twi_workload):
         table, reducers = fitted_iam.table, fitted_iam.reducers
         cache = RangeMassCache({c.name: r for c, r in zip(table.columns, reducers)})
-        for query in twi_workload.queries[:8]:
-            direct = build_constraints(table, reducers, query)
-            cached = build_constraints(table, reducers, query, mass_cache=cache)
-            for a, b in zip(direct, cached):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    np.testing.assert_array_equal(np.asarray(a.mass), np.asarray(b.mass))
+        queries = twi_workload.queries[:8]
+        built = build_constraints_batch(table, reducers, queries, cache)
+        for query, slots in zip(queries, built):
+            constraint_map = query.constraints(table)
+            for column, reducer, slot in zip(table.columns, reducers, slots):
+                constraint = constraint_map.get(column.name)
+                assert (constraint is None) == (slot is None)
+                if constraint is not None and not constraint.is_empty:
+                    direct = reducer.range_mass(constraint.intervals)
+                    np.testing.assert_array_equal(slot.mass, direct)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ class TestServeComponentsUnderSanitizer:
                 key = ("m", 0, i * 50 + j)
                 cache.put(key, float(j))
                 cache.get(key)
-                batcher.submit(query)
+                batcher.submit(query, np.random.default_rng(j))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for t in threads:

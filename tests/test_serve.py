@@ -196,7 +196,7 @@ class TestMicroBatcher:
 
             def client(i):
                 barrier.wait()
-                results[i] = batcher.submit(queries[i])
+                results[i] = batcher.submit(queries[i], np.random.default_rng(i))
 
             threads = [threading.Thread(target=client, args=(i,)) for i in range(len(queries))]
             for t in threads:
@@ -221,7 +221,7 @@ class TestMicroBatcher:
         batcher = MicroBatcher(run_batch, max_batch_size=2, max_wait_ms=0.0)
         try:
             with pytest.raises(ValueError, match="kaboom"):
-                batcher.submit(twi_workload.queries[0])
+                batcher.submit(twi_workload.queries[0], np.random.default_rng(0))
         finally:
             batcher.close()
 
@@ -233,7 +233,9 @@ class TestMicroBatcher:
         batcher = MicroBatcher(run_batch, max_batch_size=2, max_wait_ms=0.0)
         try:
             with pytest.raises(EstimateTimeoutError):
-                batcher.submit(twi_workload.queries[0], timeout_seconds=0.02)
+                batcher.submit(
+                    twi_workload.queries[0], np.random.default_rng(0), timeout_seconds=0.02
+                )
         finally:
             batcher.close()
 
@@ -241,7 +243,7 @@ class TestMicroBatcher:
         batcher = MicroBatcher(lambda b, r: np.zeros(len(b)))
         batcher.close()
         with pytest.raises(ServeError):
-            batcher.submit(twi_workload.queries[0])
+            batcher.submit(twi_workload.queries[0], np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------
